@@ -5,8 +5,7 @@ module Evaluator = Into_core.Evaluator
 module Topo_bo = Into_core.Topo_bo
 module Objective = Into_core.Objective
 module Acquisition = Into_core.Acquisition
-module Gp = Into_gp.Gp
-module Rbf = Into_gp.Rbf
+module Rbf_gp = Into_gp.Rbf_gp
 
 type config = {
   n_init : int;
@@ -46,8 +45,7 @@ type state = {
   mutable total_sims : int;
   mutable rejections : int;
   mutable best : (Evaluator.evaluation * float) option;
-  mutable lengthscales : float array;
-  mutable noises : float array;
+  mutable hyper : (float * float) array;  (** (lengthscale, noise) per GP: 4 metrics + objective *)
 }
 
 let n_models = List.length Objective.metrics + 1
@@ -114,67 +112,21 @@ let noise_grid = [ 1e-4; 1e-2; 1e-1 ]
 
 let refit_hyperparameters st =
   let xs, ys = targets st in
-  for m = 0 to n_models - 1 do
-    let best = ref None in
-    List.iter
-      (fun l ->
-        let gram = Rbf.gram ~lengthscale:l xs in
-        List.iter
-          (fun noise ->
-            match Gp.fit ~gram ~y:ys.(m) ~signal:1.0 ~noise with
-            | gp -> (
-              let lml = Gp.log_marginal_likelihood gp in
-              match !best with
-              | Some (_, _, b) when b >= lml -> ()
-              | Some _ | None -> best := Some (l, noise, lml))
-            | exception Into_linalg.Cholesky.Not_positive_definite -> ())
-          noise_grid)
-      lengthscale_grid;
-    match !best with
-    | Some (l, noise, _) ->
-      st.lengthscales.(m) <- l;
-      st.noises.(m) <- noise
-    | None -> ()
-  done
+  st.hyper <-
+    Rbf_gp.select ~lengthscales:lengthscale_grid ~noises:noise_grid ~current:st.hyper xs ys
 
 let fit_models st =
   let xs, ys = targets st in
-  ( xs,
-    Array.init n_models (fun m ->
-        let gram = Rbf.gram ~lengthscale:st.lengthscales.(m) xs in
-        match Gp.fit ~gram ~y:ys.(m) ~signal:1.0 ~noise:st.noises.(m) with
-        | gp -> Some gp
-        | exception Into_linalg.Cholesky.Not_positive_definite -> None) )
+  Rbf_gp.fit xs ys ~hyper:st.hyper
 
-let acquisition st (xs, models) best_tfom z =
-  let predict m =
-    Option.map
-      (fun gp ->
-        Gp.predict gp ~k_star:(Rbf.cross ~lengthscale:st.lengthscales.(m) xs z) ~k_self:1.0)
-      models.(m)
-  in
-  let feas =
-    List.mapi
-      (fun m (bound, sense) ->
-        match predict m with
-        | None -> 1.0
-        | Some (mean, var) ->
-          Acquisition.probability_feasible ~mean ~std:(sqrt var) ~bound ~sense)
-      (Objective.bounds st.spec)
-  in
-  match best_tfom with
-  | None -> Acquisition.feasibility_only feas
-  | Some best -> (
-    match predict (n_models - 1) with
-    | None -> Acquisition.feasibility_only feas
-    | Some (mean, var) ->
-      let ei = Acquisition.expected_improvement ~mean ~std:(sqrt var) ~best in
-      Acquisition.weighted_ei ~w:st.cfg.wei_w ~ei ~feasibility:feas)
+let acquisition st fitted best_tfom z =
+  Acquisition.constrained_wei ~w:st.cfg.wei_w ~bounds:(Objective.bounds st.spec)
+    ~best:best_tfom (Rbf_gp.predictor fitted z)
 
 let bo_iteration st ~iteration =
   if List.length st.evals < 2 then evaluate st ~iteration (Topology.random st.rng)
   else begin
-    if iteration mod st.cfg.refit_every = 1 || st.lengthscales.(0) = 0.0 then
+    if iteration mod st.cfg.refit_every = 1 || fst st.hyper.(0) = 0.0 then
       refit_hyperparameters st;
     let fitted = fit_models st in
     let best_tfom =
@@ -212,8 +164,7 @@ let run ?(config = default_config) ~rng ~spec () =
       total_sims = 0;
       rejections = 0;
       best = None;
-      lengthscales = Array.make n_models 0.0;
-      noises = Array.make n_models 1e-2;
+      hyper = Array.make n_models (0.0, 1e-2);
     }
   in
   (* Initial designs evaluate as one batch (parallel under a pooled runner);

@@ -20,3 +20,21 @@ let weighted_ei ~w ~ei ~feasibility =
   if w < 0.0 || w > 1.0 then invalid_arg "Acquisition.weighted_ei: w outside [0,1]";
   let pf = feasibility_only feasibility in
   (Float.max ei 1e-300 ** w) *. (Float.max pf 1e-300 ** (1.0 -. w))
+
+let constrained_wei ~w ~bounds ~best predict =
+  let feas =
+    List.mapi
+      (fun m (bound, sense) ->
+        match predict m with
+        | None -> 1.0
+        | Some (mean, var) -> probability_feasible ~mean ~std:(sqrt var) ~bound ~sense)
+      bounds
+  in
+  match best with
+  | None -> feasibility_only feas
+  | Some best -> (
+    match predict (List.length bounds) with
+    | None -> feasibility_only feas
+    | Some (mean, var) ->
+      let ei = expected_improvement ~mean ~std:(sqrt var) ~best in
+      weighted_ei ~w ~ei ~feasibility:feas)

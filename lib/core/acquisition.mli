@@ -25,3 +25,15 @@ val weighted_ei : w:float -> ei:float -> feasibility:float list -> float
 
 val feasibility_only : float list -> float
 (** Product of feasibility probabilities. *)
+
+val constrained_wei :
+  w:float ->
+  bounds:(float * [ `Min | `Max ]) list ->
+  best:float option ->
+  (int -> (float * float) option) ->
+  float
+(** The wEI of one candidate from its surrogate predictions: [predict m]
+    is the [(mean, variance)] of constraint model [m] (one per bound, in
+    order) and [predict (List.length bounds)] that of the objective, which
+    is only asked for once a feasible [best] exists.  A missing model
+    ([None]) counts as certainly feasible, or drops the EI factor. *)

@@ -3,8 +3,7 @@ module Params = Into_circuit.Params
 module Perf = Into_circuit.Perf
 module Spec = Into_circuit.Spec
 module Topology = Into_circuit.Topology
-module Gp = Into_gp.Gp
-module Rbf = Into_gp.Rbf
+module Rbf_gp = Into_gp.Rbf_gp
 
 type config = {
   n_init : int;
@@ -51,8 +50,7 @@ type state = {
   mutable n_sims : int;
   mutable best_feasible : (outcome * float) option;  (** with FoM *)
   mutable best_any : (outcome * float) option;  (** with violation *)
-  mutable lengthscales : float array;  (** per GP: 4 metrics + objective *)
-  mutable noises : float array;
+  mutable hyper : (float * float) array;  (** (lengthscale, noise) per GP: 4 metrics + objective *)
   mutable failures : (Fail.t * int) list;  (** first-seen order *)
   mutable timed_out : bool;
   deadline : float option;  (** absolute wall-clock limit, [Unix.gettimeofday] frame *)
@@ -149,69 +147,21 @@ let targets st =
 (* Select (lengthscale, noise) per model by marginal likelihood. *)
 let refit_hyperparameters st =
   let xs, ys = targets st in
-  let d = Array.length st.free_dims in
-  for m = 0 to n_models - 1 do
-    let best = ref None in
-    List.iter
-      (fun l ->
-        let gram = Rbf.gram ~lengthscale:l xs in
-        List.iter
-          (fun noise ->
-            match Gp.fit ~gram ~y:ys.(m) ~signal:1.0 ~noise with
-            | gp -> (
-              let lml = Gp.log_marginal_likelihood gp in
-              match !best with
-              | Some (_, _, best_lml) when best_lml >= lml -> ()
-              | Some _ | None -> best := Some (l, noise, lml))
-            | exception Into_linalg.Cholesky.Not_positive_definite -> ())
-          noise_grid)
-      (lengthscale_grid d);
-    match !best with
-    | Some (l, noise, _) ->
-      st.lengthscales.(m) <- l;
-      st.noises.(m) <- noise
-    | None -> ()
-  done
+  st.hyper <-
+    Rbf_gp.select
+      ~lengthscales:(lengthscale_grid (Array.length st.free_dims))
+      ~noises:noise_grid ~current:st.hyper xs ys
 
 let fit_models st =
   let xs, ys = targets st in
-  let models =
-    Array.init n_models (fun m ->
-        let gram = Rbf.gram ~lengthscale:st.lengthscales.(m) xs in
-        match Gp.fit ~gram ~y:ys.(m) ~signal:1.0 ~noise:st.noises.(m) with
-        | gp -> Some gp
-        | exception Into_linalg.Cholesky.Not_positive_definite -> None)
-  in
-  (xs, models)
+  Rbf_gp.fit xs ys ~hyper:st.hyper
 
-let acquisition st (xs, models) best_tfom u =
-  let predict m =
-    match models.(m) with
-    | None -> None
-    | Some gp ->
-      let k_star = Rbf.cross ~lengthscale:st.lengthscales.(m) xs u in
-      Some (Gp.predict gp ~k_star ~k_self:1.0)
-  in
-  let feas =
-    List.mapi
-      (fun m (bound, sense) ->
-        match predict m with
-        | None -> 1.0
-        | Some (mean, var) ->
-          Acquisition.probability_feasible ~mean ~std:(sqrt var) ~bound ~sense)
-      (Objective.bounds st.spec)
-  in
-  match best_tfom with
-  | None -> Acquisition.feasibility_only feas
-  | Some best -> (
-    match predict (n_models - 1) with
-    | None -> Acquisition.feasibility_only feas
-    | Some (mean, var) ->
-      let ei = Acquisition.expected_improvement ~mean ~std:(sqrt var) ~best in
-      Acquisition.weighted_ei ~w:st.cfg.wei_w ~ei ~feasibility:feas)
+let acquisition st fitted best_tfom u =
+  Acquisition.constrained_wei ~w:st.cfg.wei_w ~bounds:(Objective.bounds st.spec)
+    ~best:best_tfom (Rbf_gp.predictor fitted u)
 
 let bo_step st iter =
-  if iter mod st.cfg.refit_every = 0 || st.lengthscales.(0) = 0.0 then refit_hyperparameters st;
+  if iter mod st.cfg.refit_every = 0 || fst st.hyper.(0) = 0.0 then refit_hyperparameters st;
   let fitted = fit_models st in
   let best_tfom =
     Option.map
@@ -279,8 +229,7 @@ let optimize ?(config = default_config) ?start ?free_dims ~rng ~spec topo =
       n_sims = 0;
       best_feasible = None;
       best_any = None;
-      lengthscales = Array.make n_models 0.0;
-      noises = Array.make n_models 1e-2;
+      hyper = Array.make n_models (0.0, 1e-2);
       failures = [];
       timed_out = false;
       deadline =

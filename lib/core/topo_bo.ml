@@ -85,9 +85,10 @@ let fit_metric_models ~dict ~spec evals =
       Array.of_list
         (List.map (fun (e : Evaluator.evaluation) -> Into_graph.Circuit_graph.build e.topology) evals)
     in
-    List.map
-      (fun (name, y) -> (name, Wl_gp.fit ~dict ~graphs ~y ()))
-      (model_targets ~spec evals)
+    let targets = model_targets ~spec evals in
+    List.combine (List.map fst targets)
+      (Wl_gp.fit_many ~dict ~graphs
+         (List.map (fun (_, y) -> (Wl_gp.default_search, y)) targets))
 
 type state = {
   cfg : config;
@@ -155,25 +156,26 @@ let fit_models st ~full_search =
     Array.of_list
       (List.map (fun (e : Evaluator.evaluation) -> Into_graph.Circuit_graph.build e.topology) evals)
   in
-  let fit (name, y) =
-    let full () =
-      Wl_gp.fit ~h_candidates:st.cfg.h_candidates ~dict:st.dict ~graphs ~y ()
-    in
-    let model =
-      if full_search then full ()
-      else
-        match List.assoc_opt name st.hyper with
-        | Some (h, noise, signal) ->
-          Wl_gp.fit ~h_candidates:[ h ] ~noise_candidates:[ noise ]
-            ~signal_candidates:[ signal ] ~dict:st.dict ~graphs ~y ()
-        | None -> full ()
-    in
-    st.hyper <-
-      (name, (Wl_gp.h model, Gp.noise (Wl_gp.gp model), Gp.signal (Wl_gp.gp model)))
-      :: List.remove_assoc name st.hyper;
-    (name, model)
+  let full = { Wl_gp.default_search with h_candidates = st.cfg.h_candidates } in
+  let search name =
+    if full_search then full
+    else
+      match List.assoc_opt name st.hyper with
+      | Some (h, noise, signal) -> Wl_gp.fixed ~h ~noise ~signal
+      | None -> full
   in
-  List.map fit (model_targets ~spec:st.spec evals)
+  let targets = model_targets ~spec:st.spec evals in
+  let models =
+    Wl_gp.fit_many ~dict:st.dict ~graphs
+      (List.map (fun (name, y) -> (search name, y)) targets)
+  in
+  List.map2
+    (fun (name, _) model ->
+      st.hyper <-
+        (name, (Wl_gp.h model, Gp.noise (Wl_gp.gp model), Gp.signal (Wl_gp.gp model)))
+        :: List.remove_assoc name st.hyper;
+      (name, model))
+    targets models
 
 (* Current best topologies used as mutation seeds: feasible designs ranked
    by FoM, padded with low-violation infeasible ones. *)
@@ -202,21 +204,18 @@ let best_seeds st =
     (fun (e : Evaluator.evaluation) -> e.topology)
     (take st.cfg.n_best_seeds (by_fom @ by_violation))
 
+(* Only the models the acquisition reads are predicted (the FoM model only
+   once a feasible best exists), so the candidate's WL pass goes no deeper
+   than their largest h and registers no id a model never looks at. *)
 let acquisition st models best_tfom topo =
   let g = Into_graph.Circuit_graph.build topo in
-  let feas =
-    List.map2
-      (fun m (bound, sense) ->
-        let mean, var = Wl_gp.predict (List.assoc m.Objective.name models) g in
-        Acquisition.probability_feasible ~mean ~std:(sqrt var) ~bound ~sense)
-      Objective.metrics (Objective.bounds st.spec)
+  let n_metrics = List.length Objective.metrics in
+  let read =
+    List.filteri (fun i _ -> i < n_metrics || Option.is_some best_tfom) model_names
   in
-  match best_tfom with
-  | None -> Acquisition.feasibility_only feas
-  | Some best ->
-    let mean, var = Wl_gp.predict (List.assoc "fom" models) g in
-    let ei = Acquisition.expected_improvement ~mean ~std:(sqrt var) ~best in
-    Acquisition.weighted_ei ~w:st.cfg.wei_w ~ei ~feasibility:feas
+  let preds = Array.of_list (Wl_gp.predict_many (List.map (fun n -> List.assoc n models) read) g) in
+  Acquisition.constrained_wei ~w:st.cfg.wei_w ~bounds:(Objective.bounds st.spec) ~best:best_tfom
+    (fun m -> Some preds.(m))
 
 let bo_iteration st ~iteration =
   let candidates =

@@ -2,8 +2,11 @@ type pattern =
   | Base of string
   | Composed of { root : int; neighbors : int list; iteration : int }
 
+(* A pattern is its own interning key: structural equality and hashing on
+   the label or on (iteration, root, sorted neighbor ids) identify exactly
+   the patterns that deserve one id. *)
 type dict = {
-  intern : (string, int) Hashtbl.t;
+  intern : (pattern, int) Hashtbl.t;
   mutable patterns : pattern array;
   mutable used : int;
 }
@@ -12,8 +15,8 @@ let create_dict () = { intern = Hashtbl.create 64; patterns = Array.make 64 (Bas
 
 let dict_size d = d.used
 
-let register d key pattern =
-  match Hashtbl.find_opt d.intern key with
+let register d pattern =
+  match Hashtbl.find_opt d.intern pattern with
   | Some id -> id
   | None ->
     let id = d.used in
@@ -24,17 +27,13 @@ let register d key pattern =
     end;
     d.patterns.(id) <- pattern;
     d.used <- d.used + 1;
-    Hashtbl.replace d.intern key id;
+    Hashtbl.replace d.intern pattern id;
     id
 
-let base_id d lbl = register d ("b:" ^ lbl) (Base lbl)
+let base_id d lbl = register d (Base lbl)
 
 let composed_id d ~iteration ~root ~neighbors =
-  let key =
-    Printf.sprintf "c%d:%d|%s" iteration root
-      (String.concat "," (List.map string_of_int neighbors))
-  in
-  register d key (Composed { root; neighbors; iteration })
+  register d (Composed { root; neighbors; iteration })
 
 let pattern d id =
   if id < 0 || id >= d.used then invalid_arg "Wl: unknown feature id";
@@ -56,32 +55,77 @@ let feature_iteration d id =
 
 type features = (int * int) array (* sorted by feature id, counts > 0 *)
 
+(* Run-length encoding of a sorted id array. *)
+let counts_of_sorted ids =
+  let n = Array.length ids in
+  let rec go i acc =
+    if i >= n then Array.of_list (List.rev acc)
+    else
+      let id = ids.(i) in
+      let j = ref (i + 1) in
+      while !j < n && ids.(!j) = id do
+        incr j
+      done;
+      go !j ((id, !j - i) :: acc)
+  in
+  go 0 []
+
+(* Relabelling rows are computed on demand, one iteration at a time, so a
+   graph queried at several h is relabelled once, and ids are registered in
+   the same order as by independent extractions at each h: row k is only
+   ever computed after rows 0..k-1, and recomputing a row registers
+   nothing new. *)
+type pass = {
+  dict : dict;
+  graph : Labeled_graph.t;
+  mutable rows : int array list;  (** rows 0..depth-1, newest first *)
+  mutable depth : int;
+  mutable sorted : int array;  (** ids of all rows computed, sorted *)
+  mutable feats : features list;  (** features at h = depth-1 .. 0 *)
+}
+
+let pass d g = { dict = d; graph = g; rows = []; depth = 0; sorted = [||]; feats = [] }
+
+let next_row p =
+  let g = p.graph in
+  let n = Labeled_graph.n_nodes g in
+  match p.rows with
+  | [] -> Array.init n (fun v -> base_id p.dict (Labeled_graph.label g v))
+  | prev :: _ ->
+    let k = p.depth in
+    Array.init n (fun v ->
+        let neigh = List.sort compare (List.map (fun u -> prev.(u)) (Labeled_graph.neighbors g v)) in
+        composed_id p.dict ~iteration:k ~root:prev.(v) ~neighbors:neigh)
+
+let deepen p ~h =
+  if h < 0 then invalid_arg "Wl: negative h";
+  while p.depth <= h do
+    let row = next_row p in
+    let merged = Array.append p.sorted row in
+    Array.sort Int.compare merged;
+    p.rows <- row :: p.rows;
+    p.sorted <- merged;
+    p.feats <- counts_of_sorted merged :: p.feats;
+    p.depth <- p.depth + 1
+  done
+
+let features_at p ~h =
+  deepen p ~h;
+  match List.nth_opt p.feats (p.depth - 1 - h) with
+  | Some f -> f
+  | None -> invalid_arg "Wl.features_at: missing row"
+
 let node_feature_ids d ~h g =
   if h < 0 then invalid_arg "Wl.node_feature_ids: negative h";
-  let n = Labeled_graph.n_nodes g in
-  let rows = Array.make (h + 1) [||] in
-  rows.(0) <- Array.init n (fun v -> base_id d (Labeled_graph.label g v));
-  for k = 1 to h do
-    let prev = rows.(k - 1) in
-    rows.(k) <-
-      Array.init n (fun v ->
-          let neigh = List.sort compare (List.map (fun u -> prev.(u)) (Labeled_graph.neighbors g v)) in
-          composed_id d ~iteration:k ~root:prev.(v) ~neighbors:neigh)
-  done;
-  rows
+  let p = pass d g in
+  deepen p ~h;
+  Array.of_list (List.rev p.rows)
 
 let extract d ~h g =
-  let rows = node_feature_ids d ~h g in
-  let counts = Hashtbl.create 32 in
-  Array.iter
-    (fun row ->
-      Array.iter
-        (fun id ->
-          Hashtbl.replace counts id (1 + Option.value ~default:0 (Hashtbl.find_opt counts id)))
-        row)
-    rows;
-  let pairs = Hashtbl.fold (fun id c acc -> (id, c) :: acc) counts [] in
-  Array.of_list (List.sort compare pairs)
+  if h < 0 then invalid_arg "Wl.extract: negative h";
+  features_at (pass d g) ~h
+
+let iter f feats = Array.iter (fun (id, c) -> f id c) feats
 
 let count f id =
   let rec search lo hi =

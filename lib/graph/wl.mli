@@ -27,7 +27,20 @@ type features
 (** Sparse non-negative count vector over feature ids. *)
 
 val extract : dict -> h:int -> Labeled_graph.t -> features
-(** Feature vector of a graph with [h] WL iterations ([h >= 0]). *)
+(** Feature vector of a graph with [h] WL iterations ([h >= 0]).  Equal to
+    [features_at (pass dict g) ~h]. *)
+
+type pass
+(** The WL relabelling of one graph, deepened on demand.  Querying a pass
+    at several [h] relabels the graph once, and registers new ids in the
+    dictionary in exactly the order independent {!extract} calls at those
+    [h] (in the same order) would. *)
+
+val pass : dict -> Labeled_graph.t -> pass
+(** A pass that has not relabelled anything yet (no id is registered). *)
+
+val features_at : pass -> h:int -> features
+(** [extract dict ~h g], computing only the iterations not yet done. *)
 
 val node_feature_ids : dict -> h:int -> Labeled_graph.t -> int array array
 (** [ids.(k).(v)] is the feature id assigned to graph node [v] at iteration
@@ -39,6 +52,10 @@ val count : features -> int -> int
 
 val to_list : features -> (int * int) list
 (** Sorted (feature id, count) pairs with positive counts. *)
+
+val iter : (int -> int -> unit) -> features -> unit
+(** [iter f feats] calls [f id count] for every present feature, by
+    increasing id. *)
 
 val dot : features -> features -> float
 (** Inner product of count vectors — the raw WL kernel value (Eq. 2). *)

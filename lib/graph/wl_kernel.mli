@@ -12,3 +12,13 @@ val gram : ?normalize:bool -> Wl.features array -> Into_linalg.Mat.t
 
 val cross : ?normalize:bool -> Wl.features array -> Wl.features -> float array
 (** Kernel values of one query graph against a feature set. *)
+
+type index
+(** A feature set prepared for repeated {!cross} queries: an inverted index
+    from feature id to the rows holding it, plus the rows' norms. *)
+
+val index : Wl.features array -> index
+
+val cross_indexed : index -> Wl.features -> float array
+(** [cross_indexed (index feats) q] is [cross feats q] (normalized), bit
+    for bit, touching only the rows that share a feature with [q]. *)

@@ -1,5 +1,5 @@
 let magic = "INTO-OA-CKPT"
-let version = 1
+let version = 2
 
 type frame = {
   frame_magic : string;
@@ -17,18 +17,50 @@ type t = {
   lock : Mutex.t;
 }
 
-(* Read frames until the first decode error, reporting how many bytes of
-   the file were valid so the caller can truncate the corrupt tail. *)
+(* On disk a frame is [length (8 bytes, big-endian)] [Digest.string of
+   the body (16 bytes)] [body = Marshal of a [frame]].  A torn frame can be
+   followed by whole frames appended later, so a body is only unmarshalled
+   once its length fits the file and its digest matches: Marshal must never
+   see bytes that straddle a fragment and the frames after it. *)
+let header_len = 8 + 16
+
+let encode frame =
+  let body = Marshal.to_string (frame : frame) [] in
+  let b = Buffer.create (header_len + String.length body) in
+  Buffer.add_int64_be b (Int64.of_int (String.length body));
+  Buffer.add_string b (Digest.string body);
+  Buffer.add_string b body;
+  Buffer.contents b
+
+(* The next whole frame at the channel position, or [None] at the first
+   short read, implausible length, digest mismatch or foreign frame. *)
+let read_frame ic ~file_len =
+  match really_input_string ic header_len with
+  | exception End_of_file -> None
+  | header -> (
+    let len = Int64.to_int (String.get_int64_be header 0) in
+    if len <= 0 || len > file_len - pos_in ic then None
+    else
+      match really_input_string ic len with
+      | exception End_of_file -> None
+      | body when not (String.equal (Digest.string body) (String.sub header 8 16)) -> None
+      | body -> (
+        match (Marshal.from_string body 0 : frame) with
+        | f when String.equal f.frame_magic magic && f.frame_version = version -> Some f
+        | _ -> None
+        | exception _ -> None))
+
+(* Read frames until the first bad one, reporting how many bytes of the
+   file were valid so the caller can truncate the corrupt tail. *)
 let load_valid_prefix path =
   match open_in_bin path with
   | exception Sys_error _ -> ([], 0)
   | ic ->
+    let file_len = in_channel_length ic in
     let rec loop acc valid_end =
-      match (Marshal.from_channel ic : frame) with
-      | f when String.equal f.frame_magic magic && f.frame_version = version ->
-        loop ((f.frame_key, f.frame_payload) :: acc) (pos_in ic)
-      | _ -> (List.rev acc, valid_end)
-      | exception _ -> (List.rev acc, valid_end)
+      match read_frame ic ~file_len with
+      | Some f -> loop ((f.frame_key, f.frame_payload) :: acc) (pos_in ic)
+      | None -> (List.rev acc, valid_end)
     in
     let frames, valid_end = loop [] 0 in
     close_in_noerr ic;
@@ -97,7 +129,7 @@ let append t ~key ~payload =
           }
         in
         match
-          Marshal.to_channel oc frame [];
+          output_string oc (encode frame);
           flush oc
         with
         | () -> ()

@@ -1,10 +1,12 @@
 (** Checkpoint journal: an append-only log of completed campaign runs.
 
     Each record is a (key, payload) pair framed as a Marshal envelope with
-    a magic string and format version.  On [start], the valid prefix of an
-    existing journal is loaded and any trailing partial record (a crash
-    mid-append) is truncated away, so a journal is always safe to resume
-    from.  Appends are mutex-protected and flushed immediately, making the
+    a magic string and format version, preceded by the envelope's byte
+    length and digest.  On [start], the valid prefix of an existing journal
+    is loaded: reading stops at the first frame whose length overruns the
+    file or whose digest does not match, and everything from there on (a
+    crash mid-append, and any frames written after it) is truncated away,
+    so a journal is always safe to resume from.  Appends are mutex-protected and flushed immediately, making the
     journal crash-consistent record by record. *)
 
 type t

@@ -267,6 +267,55 @@ let test_topo_bo_best_is_feasible () =
   | None -> () (* a tiny run may legitimately fail *)
   | Some e -> Alcotest.(check bool) "best is feasible" true e.Evaluator.feasible
 
+(* A fixed-seed run pinned to values recorded with surrogates that fit and
+   predict one model at a time: every step (chosen topology, sizing, FoM
+   and simulations at %.17g), the selected h per final model, and the
+   complete WL dictionary, whose [Wl.describe] listing (all 5707 entries,
+   one per line) is pinned by its digest.  Sharing work across the models
+   must change none of it. *)
+let pinned_step_line (s : Topo_bo.step) =
+  let g = Printf.sprintf "%.17g" in
+  let what =
+    match (s.Topo_bo.evaluation, s.Topo_bo.failure, s.Topo_bo.rejection) with
+    | Some (e : Evaluator.evaluation), _, _ ->
+      Printf.sprintf "E %d %d %s %b %s" (Topology.to_index e.topology) e.n_sims (g e.fom)
+        e.feasible
+        (String.concat "," (Array.to_list (Array.map g e.sizing)))
+    | None, Some f, _ -> "F " ^ Into_core.Fail.to_string f
+    | None, None, diags -> Printf.sprintf "R %d" (List.length diags)
+  in
+  Printf.sprintf "%d|%s|%d|%s\n" s.Topo_bo.iteration what s.Topo_bo.cumulative_sims
+    (match s.Topo_bo.best_fom_so_far with None -> "-" | Some f -> g f)
+
+let test_topo_bo_pinned_run () =
+  let config =
+    {
+      (Topo_bo.default_config Candidates.Mixed) with
+      Topo_bo.n_init = 6;
+      iterations = 12;
+      pool = 30;
+      sizing = { Sizing.default_config with Sizing.n_init = 6; n_iter = 10 };
+    }
+  in
+  let r = Topo_bo.run ~config ~rng:(Rng.create ~seed:2) ~spec:(Spec.find "S-3") () in
+  let digest s = Digest.to_hex (Digest.string s) in
+  (* The first feasible design arrives at iteration 9, so both acquisition
+     branches (feasibility only, then wEI with the FoM model) are pinned. *)
+  Alcotest.(check string) "steps digest" "7abaaf6d2033372b6debf9c0b8e7b9e4"
+    (digest (String.concat "" (List.map pinned_step_line r.Topo_bo.steps)));
+  Alcotest.(check string) "selected h per model" "gain:3,gbw:2,pm:2,power:1,fom:3"
+    (String.concat ","
+       (List.map
+          (fun (name, m) -> Printf.sprintf "%s:%d" name (Into_gp.Wl_gp.h m))
+          r.Topo_bo.models));
+  let dict = r.Topo_bo.dict in
+  let n = Into_graph.Wl.dict_size dict in
+  Alcotest.(check int) "dictionary size" 5707 n;
+  Alcotest.(check (list string)) "first entries" [ "vin"; "v1"; "v2" ]
+    (List.init 3 (Into_graph.Wl.describe dict));
+  Alcotest.(check string) "dictionary listing digest" "16297ee1b9d5bb8654f4f4044c46321c"
+    (digest (String.concat "" (List.init n (fun i -> Into_graph.Wl.describe dict i ^ "\n"))))
+
 (* --- Attribution --- *)
 
 let trained_models seed =
@@ -422,6 +471,7 @@ let () =
         [
           Alcotest.test_case "algorithm 1 bookkeeping" `Quick test_topo_bo_run;
           Alcotest.test_case "best is feasible" `Quick test_topo_bo_best_is_feasible;
+          Alcotest.test_case "pinned fixed-seed run" `Quick test_topo_bo_pinned_run;
         ] );
       ( "attribution",
         [

@@ -10,6 +10,8 @@ module Circuit_graph = Into_graph.Circuit_graph
 module Topology = Into_circuit.Topology
 module Subcircuit = Into_circuit.Subcircuit
 module Rng = Into_util.Rng
+module Rbf_gp = Into_gp.Rbf_gp
+module Cholesky = Into_linalg.Cholesky
 
 let check_close tol = Alcotest.(check (float tol))
 
@@ -197,6 +199,227 @@ let test_wl_gp_single_point () =
   check_close 0.5 "predicts the sole observation" 3.0 mean
 
 
+(* --- shared work is bit-identical --------------------------------------
+
+   The surrogates of one BO loop share the target-independent half of
+   every fit and prediction.  These properties compare the shared paths
+   against independent, per-model computations with no tolerance: floats
+   are compared by their bit patterns. *)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let same_pair (m1, v1) (m2, v2) = same_float m1 m2 && same_float v1 v2
+let same_floats a b = Array.length a = Array.length b && Array.for_all2 same_float a b
+
+(* Fit and predict written out in one piece, one model at a time: the
+   reference arithmetic the prior/condition split must reproduce. *)
+let reference_fit ~gram ~y ~signal ~noise =
+  let n = Array.length y in
+  let z, y_mean, y_std = Into_util.Stats.normalize y in
+  let cov = Mat.add_diagonal (Mat.scale signal gram) noise in
+  let chol, _ = Cholesky.decompose_with_jitter cov in
+  let alpha = Cholesky.solve chol z in
+  let lml =
+    (-0.5 *. Into_linalg.Vec.dot z alpha)
+    -. (0.5 *. Cholesky.log_det chol)
+    -. (0.5 *. float_of_int n *. log (2.0 *. Float.pi))
+  in
+  let predict ~k_star ~k_self =
+    let ks = Array.map (fun k -> signal *. k) k_star in
+    let mean_z = Into_linalg.Vec.dot ks alpha in
+    let v = Cholesky.solve_lower chol ks in
+    let var_z = Float.max ((signal *. k_self) +. noise -. Into_linalg.Vec.dot v v) 0.0 in
+    ((mean_z *. y_std) +. y_mean, var_z *. y_std *. y_std)
+  in
+  (alpha, y_mean, y_std, lml, predict)
+
+let random_points rng n d = Array.init n (fun _ -> Array.init d (fun _ -> Rng.float rng))
+
+let random_targets rng ~count n =
+  Array.init count (fun t ->
+      Array.init n (fun _ -> (float_of_int t *. 10.0) +. (3.0 *. Rng.gaussian rng)))
+
+let prop_condition_prior_is_fit =
+  QCheck.Test.make ~name:"condition of a shared prior = reference fit, bit for bit" ~count:60
+    QCheck.(triple small_int (int_range 1 12) (int_range 0 3))
+    (fun (seed, n, grid) ->
+      let rng = Rng.create ~seed in
+      let xs = random_points rng n 3 in
+      let lengthscale = List.nth [ 0.1; 0.3; 0.7; 2.0 ] grid in
+      let noise = List.nth [ 1e-6; 1e-4; 1e-2; 0.5 ] grid in
+      let signal = List.nth [ 0.5; 1.0; 2.0; 1.0 ] grid in
+      let gram = Rbf.gram ~lengthscale xs in
+      let prior = Gp.prior ~gram ~signal ~noise in
+      let queries = random_points rng 4 3 in
+      Array.for_all
+        (fun y ->
+          let gp = Gp.condition prior ~y in
+          let alpha, y_mean, y_std, lml, predict = reference_fit ~gram ~y ~signal ~noise in
+          let fitted = Gp.fit ~gram ~y ~signal ~noise in
+          same_floats (Gp.alpha gp) alpha
+          && same_float (Gp.y_mean gp) y_mean
+          && same_float (Gp.y_std gp) y_std
+          && same_float (Gp.log_marginal_likelihood gp) lml
+          && same_float (Gp.log_marginal_likelihood fitted) lml
+          && Array.for_all
+               (fun u ->
+                 let k_star = Rbf.cross ~lengthscale xs u in
+                 let expected = predict ~k_star ~k_self:1.0 in
+                 same_pair (Gp.predict gp ~k_star ~k_self:1.0) expected
+                 && same_pair (Gp.posterior gp (Gp.query prior ~k_star ~k_self:1.0)) expected)
+               queries)
+        (random_targets rng ~count:5 n))
+
+(* The per-model grid search: a gram and a factorization for every model
+   at every grid point. *)
+let reference_select ~lengthscales ~noises xs ys =
+  Array.map
+    (fun y ->
+      let best = ref None in
+      List.iter
+        (fun l ->
+          let gram = Rbf.gram ~lengthscale:l xs in
+          List.iter
+            (fun noise ->
+              match Gp.fit ~gram ~y ~signal:1.0 ~noise with
+              | gp -> (
+                let lml = Gp.log_marginal_likelihood gp in
+                match !best with
+                | Some (_, _, b) when b >= lml -> ()
+                | Some _ | None -> best := Some (l, noise, lml))
+              | exception Cholesky.Not_positive_definite -> ())
+            noises)
+        lengthscales;
+      Option.map (fun (l, noise, _) -> (l, noise)) !best)
+    ys
+
+let prop_rbf_grid_shared =
+  QCheck.Test.make ~name:"shared rbf grid = per-model grid and fits" ~count:40
+    QCheck.(pair small_int (int_range 2 25))
+    (fun (seed, n) ->
+      let rng = Rng.create ~seed in
+      let xs = random_points rng n 4 in
+      let ys = random_targets rng ~count:5 n in
+      let lengthscales = [ 0.2; 0.5; 1.0; 2.0 ] and noises = [ 1e-4; 1e-2 ] in
+      let current = Array.make 5 (1.0, 1e-2) in
+      let hyper = Rbf_gp.select ~lengthscales ~noises ~current xs ys in
+      hyper
+      = Array.map2
+          (fun picked kept -> Option.value picked ~default:kept)
+          (reference_select ~lengthscales ~noises xs ys)
+          current
+      &&
+      let models = Rbf_gp.fit xs ys ~hyper in
+      Array.for_all
+        (fun u ->
+          let predict = Rbf_gp.predictor models u in
+          Array.for_all
+            (fun m ->
+              let l, noise = hyper.(m) in
+              let gp = Gp.fit ~gram:(Rbf.gram ~lengthscale:l xs) ~y:ys.(m) ~signal:1.0 ~noise in
+              match predict m with
+              | Some p -> same_pair p (Gp.predict gp ~k_star:(Rbf.cross ~lengthscale:l xs u) ~k_self:1.0)
+              | None -> false)
+            (Array.init 5 Fun.id))
+        (random_points rng 6 4))
+
+let listing dict = List.init (Wl.dict_size dict) (Wl.describe dict)
+
+(* Five targets of different character over one graph set, as the outer
+   BO's metric and FoM surrogates. *)
+let wl_targets rng topos =
+  Array.init 5 (fun t ->
+      Array.map
+        (fun topo ->
+          if t = 0 then float_of_int (capacitor_count topo)
+          else (float_of_int (t * capacitor_count topo)) +. Rng.gaussian rng)
+        topos)
+
+let same_model a b =
+  Wl_gp.h a = Wl_gp.h b
+  && same_float (Gp.noise (Wl_gp.gp a)) (Gp.noise (Wl_gp.gp b))
+  && same_float (Gp.signal (Wl_gp.gp a)) (Gp.signal (Wl_gp.gp b))
+  && same_float (Wl_gp.log_marginal_likelihood a) (Wl_gp.log_marginal_likelihood b)
+
+(* Fits the targets and predicts the query graphs twice, on two fresh
+   dictionaries: through the shared paths, and one model at a time.  Models,
+   predictions and the final dictionaries must agree exactly. *)
+let shared_matches_separate ~searches ~graphs ~ys ~queries =
+  let d_shared = Wl.create_dict () and d_separate = Wl.create_dict () in
+  let shared = Wl_gp.fit_many ~dict:d_shared ~graphs (List.combine searches (Array.to_list ys)) in
+  let separate =
+    List.map2
+      (fun (s : Wl_gp.search) y ->
+        Wl_gp.fit ~h_candidates:s.h_candidates ~noise_candidates:s.noise_candidates
+          ~signal_candidates:s.signal_candidates ~dict:d_separate ~graphs ~y ())
+      searches (Array.to_list ys)
+  in
+  List.for_all2 same_model shared separate
+  && Array.for_all
+       (fun g ->
+         List.for_all2 same_pair (Wl_gp.predict_many shared g)
+           (List.map (fun m -> Wl_gp.predict m g) separate))
+       queries
+  && listing d_shared = listing d_separate
+
+let prop_wl_fit_many_full =
+  QCheck.Test.make ~name:"multi-target wl fit (full search) = per-target fits" ~count:15
+    QCheck.(pair small_int (int_range 2 18))
+    (fun (seed, n) ->
+      let rng = Rng.create ~seed in
+      let topos = Array.init n (fun _ -> Topology.random rng) in
+      let ys = wl_targets rng topos in
+      let queries = Array.init 8 (fun _ -> Circuit_graph.build (Topology.random rng)) in
+      shared_matches_separate
+        ~searches:(List.init 5 (fun _ -> Wl_gp.default_search))
+        ~graphs:(Array.map Circuit_graph.build topos) ~ys ~queries)
+
+let prop_wl_fit_many_fixed =
+  QCheck.Test.make ~name:"multi-target wl refit (fixed hyperparameters) = per-target fits"
+    ~count:30
+    QCheck.(pair small_int (int_range 2 18))
+    (fun (seed, n) ->
+      let rng = Rng.create ~seed in
+      let topos = Array.init n (fun _ -> Topology.random rng) in
+      let ys = wl_targets rng topos in
+      let pick l = List.nth l (Rng.int rng (List.length l)) in
+      let searches =
+        List.init 5 (fun _ ->
+            Wl_gp.fixed ~h:(Rng.int rng 4)
+              ~noise:(pick Wl_gp.default_search.noise_candidates)
+              ~signal:(pick Wl_gp.default_search.signal_candidates))
+      in
+      let queries = Array.init 8 (fun _ -> Circuit_graph.build (Topology.random rng)) in
+      shared_matches_separate ~searches ~graphs:(Array.map Circuit_graph.build topos) ~ys
+        ~queries)
+
+(* Subsets of the models, in any order, as the acquisition asks for them
+   (the FoM model only once a feasible design exists). *)
+let prop_wl_predict_many_subsets =
+  QCheck.Test.make ~name:"multi-model predict = predict per model, any subset" ~count:30
+    QCheck.(pair small_int (int_range 2 15))
+    (fun (seed, n) ->
+      let rng = Rng.create ~seed in
+      let topos = Array.init n (fun _ -> Topology.random rng) in
+      let graphs = Array.map Circuit_graph.build topos in
+      let ys = wl_targets rng topos in
+      let fit dict =
+        Wl_gp.fit_many ~dict ~graphs
+          (List.map (fun y -> (Wl_gp.default_search, y)) (Array.to_list ys))
+      in
+      let d1 = Wl.create_dict () and d2 = Wl.create_dict () in
+      let m1 = Array.of_list (fit d1) and m2 = Array.of_list (fit d2) in
+      List.for_all
+        (fun _ ->
+          let picks = List.filter (fun _ -> Rng.float rng < 0.6) [ 0; 1; 2; 3; 4 ] in
+          let picks = if Rng.float rng < 0.5 then List.rev picks else picks in
+          let g = Circuit_graph.build (Topology.random rng) in
+          List.for_all2 same_pair
+            (Wl_gp.predict_many (List.map (fun i -> m1.(i)) picks) g)
+            (List.map (fun i -> Wl_gp.predict m2.(i) g) picks))
+        (List.init 10 Fun.id)
+      && listing d1 = listing d2)
+
+
 (* --- additional edge cases --- *)
 
 let prop_rbf_gram_psd =
@@ -264,5 +487,13 @@ let () =
           Alcotest.test_case "single observation" `Quick test_wl_gp_single_point;
           Alcotest.test_case "fixed h respected" `Quick test_wl_gp_fixed_h_respected;
           Alcotest.test_case "deterministic fit" `Quick test_wl_gp_deterministic;
+        ] );
+      ( "shared work",
+        [
+          QCheck_alcotest.to_alcotest prop_condition_prior_is_fit;
+          QCheck_alcotest.to_alcotest prop_rbf_grid_shared;
+          QCheck_alcotest.to_alcotest prop_wl_fit_many_full;
+          QCheck_alcotest.to_alcotest prop_wl_fit_many_fixed;
+          QCheck_alcotest.to_alcotest prop_wl_predict_many_subsets;
         ] );
     ]

@@ -257,6 +257,87 @@ let prop_deeper_h_never_less_similar_to_self =
       (* Deeper refinement cannot make two distinct graphs look more alike. *)
       k 2 <= k 0 +. 1e-9)
 
+(* --- shared work is bit-identical --- *)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let listing dict = List.init (Wl.dict_size dict) (Wl.describe dict)
+
+(* A graph queried at several h through one pass gives [extract]'s feature
+   vectors (and the counts of its relabelling rows) and leaves the
+   dictionary as separate extractions would. *)
+let prop_one_pass_extraction =
+  QCheck.Test.make ~name:"one-pass extraction = extract at every h" ~count:100
+    QCheck.(pair small_int (list_of_size (Gen.int_range 1 6) (int_range 0 4)))
+    (fun (seed, hs) ->
+      let rng = Rng.create ~seed in
+      let graphs = List.init 3 (fun _ -> Circuit_graph.build (Topology.random rng)) in
+      let d_pass = Wl.create_dict () and d_extract = Wl.create_dict () in
+      List.for_all
+        (fun g ->
+          let p = Wl.pass d_pass g in
+          List.for_all
+            (fun h ->
+              let f = Wl.features_at p ~h in
+              let rows = Wl.node_feature_ids d_pass ~h g in
+              let counted =
+                List.sort compare
+                  (List.concat_map Array.to_list (Array.to_list rows))
+                |> List.fold_left
+                     (fun acc id ->
+                       match acc with
+                       | (id', c) :: rest when id' = id -> (id, c + 1) :: rest
+                       | _ -> (id, 1) :: acc)
+                     []
+                |> List.rev
+              in
+              Wl.to_list f = Wl.to_list (Wl.extract d_extract ~h g) && Wl.to_list f = counted)
+            hs)
+        graphs
+      && listing d_pass = listing d_extract)
+
+let prop_index_row_is_cross =
+  QCheck.Test.make ~name:"inverted-index kernel row = cross, bit for bit" ~count:60
+    QCheck.(triple small_int (int_range 1 20) (int_range 0 3))
+    (fun (seed, n, h) ->
+      let rng = Rng.create ~seed in
+      let dict = Wl.create_dict () in
+      let feats =
+        Array.init n (fun _ -> Wl.extract dict ~h (Circuit_graph.build (Topology.random rng)))
+      in
+      let ix = Wl_kernel.index feats in
+      (* Queries include training graphs and graphs whose features were
+         registered after the index was built. *)
+      let queries =
+        Array.append feats
+          (Array.init 10 (fun _ ->
+               Wl.extract dict ~h:(Rng.int rng 4) (Circuit_graph.build (Topology.random rng))))
+      in
+      Array.for_all
+        (fun q ->
+          let row = Wl_kernel.cross_indexed ix q and expected = Wl_kernel.cross feats q in
+          Array.length row = Array.length expected && Array.for_all2 same_float row expected)
+        queries)
+
+let prop_gram_is_normalized_kernel =
+  QCheck.Test.make ~name:"gram entries = normalized kernel, bit for bit" ~count:30
+    QCheck.(pair small_int (int_range 1 15))
+    (fun (seed, n) ->
+      let rng = Rng.create ~seed in
+      let dict = Wl.create_dict () in
+      let feats =
+        Array.init n (fun _ -> Wl.extract dict ~h:2 (Circuit_graph.build (Topology.random rng)))
+      in
+      let gram = Wl_kernel.gram feats in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          let a = min i j and b = max i j in
+          if not (same_float (Into_linalg.Mat.get gram i j) (Wl_kernel.normalized feats.(a) feats.(b)))
+          then ok := false
+        done
+      done;
+      !ok)
+
 let () =
   Alcotest.run "into_graph"
     [
@@ -294,5 +375,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_kernel_symmetric;
           QCheck_alcotest.to_alcotest prop_kernel_normalized_bounds;
           QCheck_alcotest.to_alcotest prop_gram_psd;
+        ] );
+      ( "shared work",
+        [
+          QCheck_alcotest.to_alcotest prop_one_pass_extraction;
+          QCheck_alcotest.to_alcotest prop_index_row_is_cross;
+          QCheck_alcotest.to_alcotest prop_gram_is_normalized_kernel;
         ] );
     ]

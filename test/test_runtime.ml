@@ -55,6 +55,19 @@ let test_pool_propagates_exceptions () =
   | _ -> Alcotest.fail "worker exception swallowed"
   | exception Exit -> ()
 
+(* Maps nested inside a map's items, with more items than helper domains:
+   every caller drains its own items, so nothing waits on a busy helper.
+   The helpers persist, so the pool stays usable after an exception. *)
+let test_pool_nested_maps () =
+  let inner i = Array.fold_left ( + ) 0 (Pool.map ~jobs:3 (fun j -> i * j) (Array.init 20 Fun.id)) in
+  let outer () = Pool.map ~jobs:3 inner (Array.init 12 Fun.id) in
+  let expected = Array.init 12 (fun i -> i * 190) in
+  Alcotest.(check (array int)) "nested" expected (outer ());
+  (match Pool.map ~jobs:3 (fun i -> if i = 5 then raise Exit else inner i) (Array.init 12 Fun.id) with
+  | _ -> Alcotest.fail "nested worker exception swallowed"
+  | exception Exit -> ());
+  Alcotest.(check (array int)) "usable after an exception" expected (outer ())
+
 let test_pool_empty_input () =
   Alcotest.(check (array int)) "empty" [||] (Pool.map ~jobs:4 (fun i -> i) [||])
 
@@ -156,6 +169,34 @@ let test_checkpoint_restores_valid_prefix () =
   Checkpoint.close j4;
   rm_rf dir
 
+(* A tear in the middle of the journal: whole frames appended after the
+   fragment must not be decoded through it.  Resume keeps the prefix
+   before the fragment and drops everything from it on. *)
+let test_checkpoint_torn_frame_then_whole_frames () =
+  let dir = fresh_dir "ckpt_mid" in
+  let path = Filename.concat dir "j.ckpt" in
+  let j = Checkpoint.start ~path ~fresh:true in
+  Checkpoint.append j ~key:"a" ~payload:"1";
+  Checkpoint.append j ~key:"b" ~payload:(String.make 200 'x');
+  Checkpoint.tear j ~bytes:16;
+  Checkpoint.append j ~key:"c" ~payload:"3";
+  Checkpoint.append j ~key:"d" ~payload:(String.make 300 'y');
+  Checkpoint.close j;
+  let j2 = Checkpoint.start ~path ~fresh:false in
+  Alcotest.(check int) "prefix before the fragment" 1 (Checkpoint.restored j2);
+  Alcotest.(check (option string)) "first record intact" (Some "1") (Checkpoint.find j2 ~key:"a");
+  List.iter
+    (fun key ->
+      Alcotest.(check (option string)) ("dropped " ^ key) None (Checkpoint.find j2 ~key))
+    [ "b"; "c"; "d" ];
+  Checkpoint.append j2 ~key:"c" ~payload:"3";
+  Checkpoint.close j2;
+  let j3 = Checkpoint.start ~path ~fresh:false in
+  Alcotest.(check (list (pair string string))) "journal repaired"
+    [ ("a", "1"); ("c", "3") ] (Checkpoint.entries j3);
+  Checkpoint.close j3;
+  rm_rf dir
+
 (* --- Campaign determinism and resume --- *)
 
 let test_specs = [ Spec.s1; Spec.s5 ]
@@ -242,6 +283,7 @@ let () =
           Alcotest.test_case "order preserved at any job count" `Quick test_pool_preserves_order;
           Alcotest.test_case "exceptions propagate" `Quick test_pool_propagates_exceptions;
           Alcotest.test_case "empty input" `Quick test_pool_empty_input;
+          Alcotest.test_case "nested maps complete" `Quick test_pool_nested_maps;
         ] );
       ( "cache",
         [
@@ -250,7 +292,11 @@ let () =
           Alcotest.test_case "garbage entry skipped" `Quick test_cache_garbage_entry_recomputed;
         ] );
       ( "checkpoint",
-        [ Alcotest.test_case "valid prefix survives a torn write" `Quick test_checkpoint_restores_valid_prefix ] );
+        [
+          Alcotest.test_case "valid prefix survives a torn write" `Quick test_checkpoint_restores_valid_prefix;
+          Alcotest.test_case "torn frame followed by whole frames" `Quick
+            test_checkpoint_torn_frame_then_whole_frames;
+        ] );
       ( "campaign",
         [
           Alcotest.test_case "-j 4 identical to serial" `Slow test_parallel_matches_serial;
