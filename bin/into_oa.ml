@@ -6,8 +6,8 @@
      evaluate   - size and report one topology (by design-space index)
      lint       - static verification: one topology, or the whole space
      refine     - refine the C1/C2 legacy designs for S-5
-     tables     - regenerate the paper's tables (thin wrapper over the
-                  experiment harness; see also bench/main.exe)                *)
+     tables     - regenerate the paper's evaluation (Tables I-V, Fig. 5,
+                  E5-E9) and write the campaign CSVs                        *)
 
 open Cmdliner
 
@@ -15,6 +15,8 @@ module Spec = Into_circuit.Spec
 module Topology = Into_circuit.Topology
 module Perf = Into_circuit.Perf
 module Methods = Into_experiments.Methods
+module Campaign = Into_experiments.Campaign
+module Report = Into_experiments.Report
 
 let spec_conv =
   let parse s =
@@ -134,6 +136,13 @@ let make_runtime ?journal flags =
   in
   Into_runtime.Exec.create ~jobs:flags.jobs ?cache ?checkpoint ~supervise ?faultin ()
 
+(* A bad INTO_OA_* value or --scale name is a usage error, like a bad flag. *)
+let scale_or_exit = function
+  | Ok scale -> scale
+  | Error msg ->
+    prerr_endline msg;
+    exit 2
+
 (* The summary goes to stderr so stdout stays identical across -j values. *)
 let finish_runtime runtime =
   Printf.eprintf "%s\n%!" (Into_runtime.Exec.summary runtime);
@@ -156,7 +165,7 @@ let specs_cmd =
 
 let optimize method_id spec seed iterations pool verbose flags =
   let scale =
-    { (Methods.scale_of_env ()) with Methods.runs = 1; iterations; pool }
+    { (scale_or_exit (Methods.scale_of_env ())) with Methods.runs = 1; iterations; pool }
   in
   let runtime = make_runtime ~journal:"optimize.ckpt" flags in
   let campaign =
@@ -290,7 +299,7 @@ let lint_cmd =
 (* --- refine --- *)
 
 let refine seed iterations pool =
-  let scale = { (Methods.scale_of_env ()) with Methods.iterations; pool } in
+  let scale = { (scale_or_exit (Methods.scale_of_env ())) with Methods.iterations; pool } in
   let rng = Into_util.Rng.create ~seed in
   let report = Into_experiments.Refine_exp.run ~scale ~rng () in
   print_endline (Into_experiments.Report.table4 report)
@@ -370,35 +379,130 @@ let analyze_cmd =
 
 (* --- tables --- *)
 
+(* Progress and bookkeeping lines go to stderr, so stdout stays identical
+   across -j values, cache temperature and resume. *)
+let progress_line s = Printf.eprintf "  [%s]\n%!" s
+
+let campaign_progress (e : Into_runtime.Progress.event) =
+  match e with
+  | Run_finished _ -> ()
+  | Run_started _ | Run_restored _ | Run_failed _ ->
+    progress_line (Into_runtime.Progress.render e)
+
+let section title =
+  Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
+
+let write_csvs campaign =
+  try
+    Into_experiments.Csv.write_file ~path:"campaign_runs.csv"
+      (Into_experiments.Csv.campaign_runs campaign);
+    Into_experiments.Csv.write_file ~path:"campaign_table2.csv"
+      (Into_experiments.Csv.campaign_table2 campaign);
+    prerr_endline "(wrote campaign_runs.csv and campaign_table2.csv)"
+  with Sys_error msg -> Printf.eprintf "csv export failed: %s\n" msg
+
+(* The S-1 panel of Fig. 5 as an actual (text) plot. *)
+let print_fig5_plot campaign =
+  print_newline ();
+  print_endline "Fig. 5 (S-1 panel, plotted):";
+  let series =
+    List.map
+      (fun (name, pts) ->
+        (name, List.filter_map (fun (s, f, n) -> if n > 0 then Some (float_of_int s, f) else None) pts))
+      (Campaign.fig5_series campaign Spec.s1 ~grid_step:120)
+  in
+  print_string (Into_util.Ascii_plot.plot ~x_label:"# simulations" ~y_label:"FoM" series)
+
+(* E5: WL-GP gradients vs sensitivity. A dedicated INTO-OA run keeps its
+   WL-GP surrogates for the analysis. *)
+let print_interpretability scale =
+  section "E5: identification of critical structures (Section IV-B)";
+  let rng = Into_util.Rng.create ~seed:44 in
+  let config =
+    {
+      (Into_core.Topo_bo.default_config Into_core.Candidates.Mixed) with
+      Into_core.Topo_bo.n_init = scale.Methods.n_init;
+      iterations = scale.Methods.iterations;
+      pool = scale.Methods.pool;
+    }
+  in
+  let r = Into_core.Topo_bo.run ~config ~rng ~spec:Spec.s4 () in
+  match r.Into_core.Topo_bo.best with
+  | None -> print_endline "  (no feasible S-4 design found at this scale)"
+  | Some design ->
+    let report =
+      Into_experiments.Interpret_exp.analyze ~models:r.Into_core.Topo_bo.models
+        ~spec:Spec.s4 ~design
+    in
+    print_endline (Report.gradients report)
+
+let print_refinement scale =
+  section "E6: topology refinement of C1 and C2 under S-5 (Fig. 7, Table IV)";
+  let rng = Into_util.Rng.create ~seed:45 in
+  let report = Into_experiments.Refine_exp.run ~scale ~rng () in
+  Printf.printf "  (surrogate training: %d simulations from an S-5 INTO-OA run)\n\n"
+    report.Into_experiments.Refine_exp.models_sims;
+  print_endline (Report.table4 report);
+  report
+
+let print_tlevel campaign refinement =
+  section "E7: transistor-level validation (Table V)";
+  let rows =
+    Into_experiments.Tlevel_exp.from_campaign campaign
+      ~methods:[ Methods.Fe_ga; Methods.Vgae_bo; Methods.Into_oa ]
+    @ Into_experiments.Tlevel_exp.from_refinements refinement
+  in
+  print_endline (Report.table5 rows)
+
+let print_ablations scale =
+  section "E8b: ablation study (WL depth, wEI weight, pool size) on S-4";
+  let scale = { scale with Methods.runs = min scale.Methods.runs 4 } in
+  let rows =
+    Into_experiments.Ablation.run ~progress:progress_line ~spec:Spec.s4 ~scale ~seed:777 ()
+  in
+  print_endline (Into_experiments.Ablation.report Spec.s4 rows)
+
+let print_surrogate_quality scale =
+  section "E9: held-out surrogate quality (WL-GP vs continuous embedding)";
+  let sizing_config =
+    {
+      Into_core.Sizing.default_config with
+      Into_core.Sizing.n_init = scale.Methods.sizing_init;
+      n_iter = scale.Methods.sizing_iters;
+    }
+  in
+  let r =
+    Into_experiments.Surrogate_exp.run ~progress:progress_line ~n_train:60 ~n_test:30
+      ~spec:Spec.s1 ~sizing_config ~seed:99 ()
+  in
+  print_endline (Into_experiments.Surrogate_exp.render Spec.s1 r)
+
+(* E1-E4 come from the campaign and run through the runtime engine; E5-E9
+   run serially with fixed seeds. *)
 let tables seed scale_name flags =
-  let scale =
-    match Methods.scale_of_name scale_name with
-    | Some s -> s
-    | None ->
-      Printf.eprintf "unknown scale %S (expected smoke, paper or env)\n" scale_name;
-      exit 2
-  in
+  let scale = scale_or_exit (Methods.scale_of_name scale_name) in
   let runtime = make_runtime ~journal:"campaign.ckpt" flags in
-  let campaign =
-    Into_experiments.Campaign.execute
-      ~progress:
-        (Into_runtime.Progress.of_string_renderer (fun s -> Printf.eprintf "  [%s]\n%!" s))
-      ~runtime ~scale ~seed ()
-  in
-  print_endline (Into_experiments.Report.table1 ());
+  let campaign = Campaign.execute ~progress:campaign_progress ~runtime ~scale ~seed () in
+  print_endline (Report.table1 ());
   print_newline ();
   List.iter
     (fun spec ->
-      print_endline (Into_experiments.Report.fig5 campaign spec);
+      print_endline (Report.fig5 campaign spec);
       print_newline ())
     Spec.all;
-  print_endline (Into_experiments.Report.table2 campaign);
+  print_endline (Report.table2 campaign);
   print_newline ();
   print_endline
-    (Into_experiments.Report.table3 campaign
-       ~methods:[ Methods.Fe_ga; Methods.Vgae_bo; Methods.Into_oa ]);
+    (Report.table3 campaign ~methods:[ Methods.Fe_ga; Methods.Vgae_bo; Methods.Into_oa ]);
   print_newline ();
-  print_endline (Into_experiments.Report.lint_summary campaign);
+  print_endline (Report.lint_summary campaign);
+  write_csvs campaign;
+  print_fig5_plot campaign;
+  print_interpretability scale;
+  let refinement = print_refinement scale in
+  print_tlevel campaign refinement;
+  print_ablations scale;
+  print_surrogate_quality scale;
   finish_runtime runtime
 
 let tables_cmd =
@@ -412,8 +516,10 @@ let tables_cmd =
   Cmd.v
     (Cmd.info "tables"
        ~doc:
-         "Regenerate Fig. 5 and Tables I-III (scale via --scale or INTO_OA_RUNS / \
-          INTO_OA_ITERS / INTO_OA_FULL).")
+         "Regenerate the paper's evaluation: Tables I-V, Fig. 5 and experiments \
+          E5-E9 (scale via --scale or INTO_OA_RUNS / INTO_OA_ITERS / INTO_OA_FULL). \
+          Also writes campaign_runs.csv and campaign_table2.csv to the working \
+          directory.")
     Term.(const tables $ seed_arg $ scale_arg $ runtime_term)
 
 let () =

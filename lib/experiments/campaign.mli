@@ -41,8 +41,7 @@ val execute :
     pool, outcome cache and checkpoint journal; runs execute [Exec.jobs]-way
     parallel across the (spec, method, run) grid with per-run rng streams,
     so results are identical at any job count.  [progress] receives
-    structured events (wrap a legacy string callback with
-    [Into_runtime.Progress.of_string_renderer]); delivery is serialized.
+    structured events (see [Into_runtime.Progress]); delivery is serialized.
     Grid cells found in the runtime's checkpoint journal are restored
     without executing and reported as [Run_restored]. *)
 

@@ -25,31 +25,33 @@ type scale = {
 let paper_scale =
   { runs = 10; n_init = 10; iterations = 50; pool = 200; sizing_init = 10; sizing_iters = 30 }
 
+(* An empty value counts as unset, so [putenv key ""] clears an override. *)
 let env_int key default =
   match Sys.getenv_opt key with
-  | None -> default
-  | Some s -> ( match int_of_string_opt s with Some v when v > 0 -> v | Some _ | None -> default)
+  | None | Some "" -> Ok default
+  | Some s -> (
+    match int_of_string_opt s with
+    | Some v when v > 0 -> Ok v
+    | Some _ | None -> Error (Printf.sprintf "%s=%S: expected a positive integer" key s))
 
 let smoke_scale =
   { runs = 2; n_init = 4; iterations = 6; pool = 24; sizing_init = 4; sizing_iters = 6 }
 
 let scale_of_env () =
-  if Sys.getenv_opt "INTO_OA_FULL" = Some "1" then paper_scale
+  if Sys.getenv_opt "INTO_OA_FULL" = Some "1" then Ok paper_scale
   else
-    {
-      runs = env_int "INTO_OA_RUNS" 3;
-      n_init = 10;
-      iterations = env_int "INTO_OA_ITERS" 25;
-      pool = env_int "INTO_OA_POOL" 100;
-      sizing_init = 10;
-      sizing_iters = env_int "INTO_OA_SIZING_ITERS" 30;
-    }
+    let ( let* ) = Result.bind in
+    let* runs = env_int "INTO_OA_RUNS" 3 in
+    let* iterations = env_int "INTO_OA_ITERS" 25 in
+    let* pool = env_int "INTO_OA_POOL" 100 in
+    let* sizing_iters = env_int "INTO_OA_SIZING_ITERS" 30 in
+    Ok { runs; n_init = 10; iterations; pool; sizing_init = 10; sizing_iters }
 
 let scale_of_name = function
-  | "smoke" -> Some smoke_scale
-  | "paper" | "full" -> Some paper_scale
-  | "env" | "default" -> Some (scale_of_env ())
-  | _ -> None
+  | "smoke" -> Ok smoke_scale
+  | "paper" | "full" -> Ok paper_scale
+  | "env" | "default" -> scale_of_env ()
+  | name -> Error (Printf.sprintf "unknown scale %S (expected smoke, paper or env)" name)
 
 type trace = {
   steps : Topo_bo.step list;

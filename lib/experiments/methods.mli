@@ -26,11 +26,13 @@ val smoke_scale : scale
 (** 2 runs, 4 init, 6 iterations, pool 24, sizing 4+6 — small enough for a
     CI smoke pass of the whole campaign. *)
 
-val scale_of_env : unit -> scale
+val scale_of_env : unit -> (scale, string) result
 (** [paper_scale] overridden by the [INTO_OA_RUNS], [INTO_OA_ITERS],
     [INTO_OA_POOL], [INTO_OA_SIZING_ITERS] environment variables;
     [INTO_OA_FULL=1] forces the paper scale. Defaults to a reduced
-    3-run / 25-iteration setting so the bench harness finishes quickly. *)
+    3-run / 25-iteration setting so a full regeneration finishes quickly.
+    An empty variable counts as unset; any other value that is not a
+    positive integer is an [Error] naming the variable. *)
 
 type trace = {
   steps : Into_core.Topo_bo.step list;
@@ -39,9 +41,10 @@ type trace = {
   rejections : int;  (** candidates the static verification gate rejected *)
 }
 
-val scale_of_name : string -> scale option
+val scale_of_name : string -> (scale, string) result
 (** ["smoke"], ["paper"]/["full"], or ["env"]/["default"] (the
-    {!scale_of_env} setting); [None] for anything else. *)
+    {!scale_of_env} setting, with its errors); an [Error] for anything
+    else. *)
 
 val run :
   ?runner:Into_core.Evaluator.runner ->

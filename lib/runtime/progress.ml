@@ -12,9 +12,3 @@ let render = function
     Printf.sprintf "[%d/%d] %s  restored from checkpoint" index total label
   | Run_failed { label; index; total; reason } ->
     Printf.sprintf "[%d/%d] %s  failed: %s" index total label reason
-
-let of_string_renderer f = function
-  | Run_started _ as e -> f (render e)
-  | Run_restored _ as e -> f (render e)
-  | Run_failed _ as e -> f (render e)
-  | Run_finished _ -> ()

@@ -3,8 +3,7 @@
     Replaces the old [string -> unit] progress callback: consumers that
     want machine-readable progress (counting restored runs in a test,
     driving a UI) match on the event; consumers that only want a line of
-    text go through {!render} or wrap a legacy string callback with
-    {!of_string_renderer}. *)
+    text go through {!render}. *)
 
 type event =
   | Run_started of { label : string; index : int; total : int }
@@ -19,8 +18,3 @@ type event =
 
 val render : event -> string
 (** One human-readable line, e.g. ["[3/45] S-1 / INTO-OA / run 2"]. *)
-
-val of_string_renderer : (string -> unit) -> event -> unit
-(** Adapt a legacy string callback: forwards {!render} of [Run_started],
-    [Run_restored] and [Run_failed] (one line per run, as the old API did)
-    and drops [Run_finished]. *)

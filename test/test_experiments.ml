@@ -46,13 +46,32 @@ let test_each_method_runs () =
     Methods.all
 
 let test_scale_of_env () =
+  let scale () =
+    match Methods.scale_of_env () with Ok s -> s | Error msg -> Alcotest.fail msg
+  in
+  let rejected value =
+    Unix.putenv "INTO_OA_RUNS" value;
+    match Methods.scale_of_env () with
+    | Ok s -> Alcotest.failf "INTO_OA_RUNS=%S accepted as %d runs" value s.Methods.runs
+    | Error msg ->
+      Alcotest.(check bool)
+        ("error names the variable: " ^ msg)
+        true
+        (String.starts_with ~prefix:"INTO_OA_RUNS=" msg)
+  in
   (* Without INTO_OA_FULL the reduced default applies. *)
   Unix.putenv "INTO_OA_FULL" "0";
   Unix.putenv "INTO_OA_RUNS" "7";
-  let s = Methods.scale_of_env () in
-  Alcotest.(check int) "runs from env" 7 s.Methods.runs;
+  Alcotest.(check int) "runs from env" 7 (scale ()).Methods.runs;
+  (* Malformed and non-positive values are rejected, not replaced. *)
+  rejected "abc";
+  rejected "0";
+  rejected "-3";
+  (* An empty value counts as unset. *)
+  Unix.putenv "INTO_OA_RUNS" "";
+  Alcotest.(check int) "empty value is the default" 3 (scale ()).Methods.runs;
   Unix.putenv "INTO_OA_FULL" "1";
-  let s = Methods.scale_of_env () in
+  let s = scale () in
   Alcotest.(check int) "paper scale runs" 10 s.Methods.runs;
   Alcotest.(check int) "paper scale iters" 50 s.Methods.iterations;
   Unix.putenv "INTO_OA_FULL" "0";
