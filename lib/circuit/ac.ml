@@ -26,12 +26,18 @@ let sweep_freqs () =
   Array.init n (fun i ->
       f_min *. (10.0 ** (float_of_int i /. float_of_int points_per_decade)))
 
+(* [vout/vin] at one frequency of the workspace's circuit. *)
+let transfer ws ~freq_hz =
+  Linear_system.factor_at ws ~freq_hz;
+  Linear_system.vout ws
+
 let bode netlist ~freqs =
+  let ws = Linear_system.ac (Linear_system.build netlist) in
   let prev_phase = ref 0.0 in
   let first = ref true in
   Array.map
     (fun f ->
-      let h = Mna.transfer netlist ~freq_hz:f in
+      let h = transfer ws ~freq_hz:f in
       let raw = Complex.arg h in
       let ph = if !first then initial_phase raw else unwrap ~prev:!prev_phase raw in
       first := false;
@@ -41,12 +47,12 @@ let bode netlist ~freqs =
 
 (* Refine the |A| = 1 crossing inside (f_lo, f_hi) by bisection on the log
    axis, keeping the unwrapped phase coherent with the lower bracket. *)
-let bisect_crossing netlist ~f_lo ~ph_lo ~f_hi =
+let bisect_crossing ws ~f_lo ~ph_lo ~f_hi =
   let rec go f_lo ph_lo f_hi iters =
     if iters = 0 then (sqrt (f_lo *. f_hi), ph_lo)
     else
       let fm = sqrt (f_lo *. f_hi) in
-      let h = Mna.transfer netlist ~freq_hz:fm in
+      let h = transfer ws ~freq_hz:fm in
       let ph = unwrap ~prev:ph_lo (Complex.arg h) in
       if Complex.norm h >= 1.0 then go fm ph f_hi (iters - 1)
       else go f_lo ph_lo fm (iters - 1)
@@ -55,12 +61,13 @@ let bisect_crossing netlist ~f_lo ~ph_lo ~f_hi =
 
 let analyze netlist =
   match
+    let ws = Linear_system.ac (Linear_system.build netlist) in
     let freqs = sweep_freqs () in
     let n = Array.length freqs in
     let mags = Array.make n 0.0 in
     let phases = Array.make n 0.0 in
     for i = 0 to n - 1 do
-      let h = Mna.transfer netlist ~freq_hz:freqs.(i) in
+      let h = transfer ws ~freq_hz:freqs.(i) in
       mags.(i) <- Complex.norm h;
       let raw = Complex.arg h in
       phases.(i) <- (if i = 0 then initial_phase raw else unwrap ~prev:phases.(i - 1) raw)
@@ -76,7 +83,7 @@ let analyze netlist =
     | None -> { gain_db; gbw_hz = 0.0; pm_deg = 0.0 }
     | Some i ->
       let fu, ph_at_crossing =
-        bisect_crossing netlist ~f_lo:freqs.(i) ~ph_lo:phases.(i) ~f_hi:freqs.(i + 1)
+        bisect_crossing ws ~f_lo:freqs.(i) ~ph_lo:phases.(i) ~f_hi:freqs.(i + 1)
       in
       (* Nyquist-aware margin: the critical point sits at +/-180 degrees
          (mod 360), so the margin is the smallest distance of the unwrapped
@@ -92,4 +99,4 @@ let analyze netlist =
       { gain_db; gbw_hz = fu; pm_deg = pm })
   with
   | result -> Some result
-  | exception Mna.Singular -> None
+  | exception Into_linalg.Lu.Singular -> None

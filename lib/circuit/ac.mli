@@ -1,5 +1,6 @@
 (** AC small-signal analysis: open-loop gain, gain-bandwidth product and
-    phase margin from a log-frequency sweep of the MNA transfer function.
+    phase margin from a log-frequency sweep of the MNA transfer function
+    ({!Linear_system.factor_at}).
 
     Phase is unwrapped along the sweep starting from its low-frequency value
     (approximately 0 degrees when the DC gain is positive, +/-180 when an odd
@@ -28,9 +29,10 @@ val f_max : float
 (** Highest sweep frequency. *)
 
 val analyze : Netlist.t -> t option
-(** [None] when the MNA system is singular somewhere along the sweep. *)
+(** [None] when the admittance matrix is singular somewhere along the
+    sweep. *)
 
 val bode : Netlist.t -> freqs:float array -> (float * float * float) array
 (** [(freq, magnitude_db, unwrapped_phase_deg)] triples for custom sweeps
     (used by the examples to print Bode plots).
-    @raise Mna.Singular on a singular system. *)
+    @raise Into_linalg.Lu.Singular on a singular system. *)

@@ -27,4 +27,4 @@ val temperature_k : float
 val analyze :
   ?f_lo:float -> ?f_hi:float -> ?points_per_decade:int -> Netlist.t -> result
 (** Band defaults to [1 Hz, 100 MHz] with 6 points per decade.
-    @raise Mna.Singular when the network is singular in the band. *)
+    @raise Into_linalg.Lu.Singular when the network is singular in the band. *)

@@ -83,9 +83,7 @@ let evaluate_checked ?process topo ~sizing ~cl_f =
       | None -> Ok t)
   with
   | r -> r
-  | exception Mna.Singular -> Error `Singular
   | exception Into_linalg.Lu.Singular -> Error `Singular
-  | exception Into_linalg.Cmat.Singular -> Error `Singular
   | exception Into_linalg.Eig.No_convergence -> Error `No_convergence
 
 let evaluate ?process topo ~sizing ~cl_f =

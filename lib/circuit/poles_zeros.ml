@@ -1,5 +1,6 @@
 module Mat = Into_linalg.Mat
 module Lu = Into_linalg.Lu
+module Cmat = Into_linalg.Cmat
 module Eig = Into_linalg.Eig
 
 type t = { poles_hz : Complex.t list; zeros_hz : Complex.t list }
@@ -18,16 +19,16 @@ let pencil_roots g c =
   if n = 0 then []
   else begin
     let try_sigma sigma =
-      let shifted = Mat.add g (Mat.scale sigma c) in
-      match Lu.decompose shifted with
-      | lu ->
+      let lu = Lu.of_real (Mat.add g (Mat.scale sigma c)) in
+      match Lu.factor lu with
+      | () ->
         (* Columns of M = shifted^-1 C. *)
-        let m = Mat.create n n in
+        let m = Cmat.create n n in
         for j = 0 to n - 1 do
-          let col = Array.init n (fun i -> Mat.get c i j) in
-          let x = Lu.solve lu col in
+          let re = Array.init n (fun i -> Mat.get c i j) and im = Array.make n 0.0 in
+          Lu.solve lu re im;
           for i = 0 to n - 1 do
-            Mat.set m i j x.(i)
+            Cmat.set m i j { Complex.re = re.(i); im = im.(i) }
           done
         done;
         Some m
@@ -41,7 +42,7 @@ let pencil_roots g c =
     match first_regular [ 0.0; 1.0; 2.0 *. Float.pi *. 1e3; -7.3e4 ] with
     | None -> []
     | Some (sigma, m) ->
-      Array.to_list (Eig.eigenvalues_real m)
+      Array.to_list (Eig.eigenvalues m)
       |> List.filter_map (fun mu ->
              if Complex.norm mu < 1e-300 then None
              else
@@ -84,15 +85,7 @@ let open_loop_poles netlist =
   sort_by_magnitude (List.map to_hz (pencil_roots sys.Linear_system.g sys.Linear_system.c))
 
 let closed_loop_poles netlist =
-  let sys = Linear_system.build netlist in
-  let n = sys.Linear_system.n in
-  let out = sys.Linear_system.output in
-  (* u = vin - vout: move the b * vout term to the left-hand side. *)
-  let g = Mat.copy sys.Linear_system.g and c = Mat.copy sys.Linear_system.c in
-  for i = 0 to n - 1 do
-    Mat.set g i out (Mat.get g i out +. sys.Linear_system.b_g.(i));
-    Mat.set c i out (Mat.get c i out +. sys.Linear_system.b_c.(i))
-  done;
+  let g, c = Linear_system.closed_loop (Linear_system.build netlist) in
   sort_by_magnitude (List.map to_hz (pencil_roots g c))
 
 let is_stable t = List.for_all (fun p -> p.Complex.re < 0.0) t.poles_hz

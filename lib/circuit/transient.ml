@@ -13,16 +13,6 @@ type metrics = {
   settled : bool;
 }
 
-let close_the_loop sys =
-  let n = sys.Linear_system.n in
-  let out = sys.Linear_system.output in
-  let g = Mat.copy sys.Linear_system.g and c = Mat.copy sys.Linear_system.c in
-  for i = 0 to n - 1 do
-    Mat.set g i out (Mat.get g i out +. sys.Linear_system.b_g.(i));
-    Mat.set c i out (Mat.get c i out +. sys.Linear_system.b_c.(i))
-  done;
-  { sys with Linear_system.g; c }
-
 let default_t_end netlist =
   let f_ref =
     match Ac.analyze netlist with
@@ -33,20 +23,19 @@ let default_t_end netlist =
 
 let step_response ?(closed_loop = true) ?t_end ?(points = 2000) netlist =
   if points < 2 then invalid_arg "Transient.step_response: too few points";
-  let sys0 = Linear_system.build netlist in
-  let sys = if closed_loop then close_the_loop sys0 else sys0 in
+  let sys = Linear_system.build netlist in
+  let g, c =
+    if closed_loop then Linear_system.closed_loop sys
+    else (sys.Linear_system.g, sys.Linear_system.c)
+  in
   let n = sys.Linear_system.n in
   let t_end = match t_end with Some t -> t | None -> default_t_end netlist in
   let h = t_end /. float_of_int (points - 1) in
   (* Trapezoidal rule: (C/h + G/2) x' = (C/h - G/2) x + b_g (u'+u)/2
                                         + b_c (u'-u)/h. *)
-  let lhs =
-    Mat.add (Mat.scale (1.0 /. h) sys.Linear_system.c) (Mat.scale 0.5 sys.Linear_system.g)
-  in
-  let rhs_m =
-    Mat.add (Mat.scale (1.0 /. h) sys.Linear_system.c) (Mat.scale (-0.5) sys.Linear_system.g)
-  in
-  let lu = Lu.decompose lhs in
+  let lu = Lu.of_real (Mat.add (Mat.scale (1.0 /. h) c) (Mat.scale 0.5 g)) in
+  Lu.factor lu;
+  let rhs_m = Mat.add (Mat.scale (1.0 /. h) c) (Mat.scale (-0.5) g) in
   let x = ref (Array.make n 0.0) in
   let time_s = Array.make points 0.0 in
   let vout = Array.make points 0.0 in
@@ -60,7 +49,8 @@ let step_response ?(closed_loop = true) ?t_end ?(points = 2000) netlist =
         +. (sys.Linear_system.b_g.(i) *. 0.5 *. (u_now +. u_prev))
         +. (sys.Linear_system.b_c.(i) *. (u_now -. u_prev) /. h)
     done;
-    x := Lu.solve lu rhs;
+    Lu.solve lu rhs (Array.make n 0.0);
+    x := rhs;
     time_s.(k) <- float_of_int k *. h;
     vout.(k) <- !x.(sys.Linear_system.output)
   done;
@@ -68,8 +58,9 @@ let step_response ?(closed_loop = true) ?t_end ?(points = 2000) netlist =
      operating point: the target is reported as absent rather than NaN, so
      settling metrics can't silently compare against NaN downstream. *)
   let final_value =
-    match Lu.solve_system (Mat.copy sys.Linear_system.g) sys.Linear_system.b_g with
-    | dc -> Some dc.(sys.Linear_system.output)
+    let lu = Lu.of_real g and dc = Array.copy sys.Linear_system.b_g in
+    match Lu.factor lu; Lu.solve lu dc (Array.make n 0.0) with
+    | () -> Some dc.(sys.Linear_system.output)
     | exception Lu.Singular -> None
   in
   { time_s; vout; final_value }

@@ -1,7 +1,7 @@
 (** Typed failure taxonomy for behavior-level evaluation.
 
     Every way an evaluation can fail is classified into one of these
-    constructors, threaded from the circuit solvers ([Mna.Singular],
+    constructors, threaded from the circuit solvers ([Lu.Singular],
     [Eig.No_convergence], non-finite metric leaks) through [Sizing] and
     [Evaluator] up to the runtime supervisor and the campaign reports.
     Classifying failures — instead of collapsing them into a string or a

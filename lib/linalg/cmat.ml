@@ -1,5 +1,3 @@
-exception Singular
-
 type t = { r : int; c : int; data : Complex.t array }
 
 let create r c = { r; c; data = Array.make (r * c) Complex.zero }
@@ -7,56 +5,4 @@ let rows m = m.r
 let cols m = m.c
 let get m i j = m.data.((i * m.c) + j)
 let set m i j z = m.data.((i * m.c) + j) <- z
-let add_entry m i j z = m.data.((i * m.c) + j) <- Complex.add m.data.((i * m.c) + j) z
 let copy m = { m with data = Array.copy m.data }
-
-let mul_vec m x =
-  if m.c <> Array.length x then invalid_arg "Cmat.mul_vec";
-  Array.init m.r (fun i ->
-      let acc = ref Complex.zero in
-      for j = 0 to m.c - 1 do
-        acc := Complex.add !acc (Complex.mul (get m i j) x.(j))
-      done;
-      !acc)
-
-let solve a b =
-  let n = a.r in
-  if a.c <> n then invalid_arg "Cmat.solve: not square";
-  if Array.length b <> n then invalid_arg "Cmat.solve: rhs dimension";
-  let m = copy a in
-  let x = Array.copy b in
-  for k = 0 to n - 1 do
-    let pivot = ref k in
-    for i = k + 1 to n - 1 do
-      if Complex.norm (get m i k) > Complex.norm (get m !pivot k) then pivot := i
-    done;
-    if !pivot <> k then begin
-      for j = 0 to n - 1 do
-        let tmp = get m k j in
-        set m k j (get m !pivot j);
-        set m !pivot j tmp
-      done;
-      let tmp = x.(k) in
-      x.(k) <- x.(!pivot);
-      x.(!pivot) <- tmp
-    end;
-    let pkk = get m k k in
-    if Complex.norm pkk < 1e-300 then raise Singular;
-    for i = k + 1 to n - 1 do
-      let f = Complex.div (get m i k) pkk in
-      if f <> Complex.zero then begin
-        for j = k + 1 to n - 1 do
-          set m i j (Complex.sub (get m i j) (Complex.mul f (get m k j)))
-        done;
-        x.(i) <- Complex.sub x.(i) (Complex.mul f x.(k))
-      end
-    done
-  done;
-  for i = n - 1 downto 0 do
-    let s = ref x.(i) in
-    for k = i + 1 to n - 1 do
-      s := Complex.sub !s (Complex.mul (get m i k) x.(k))
-    done;
-    x.(i) <- Complex.div !s (get m i i)
-  done;
-  x

@@ -1,10 +1,5 @@
-(** Dense complex matrices and a complex LU solver.
-
-    The AC small-signal analysis assembles a complex admittance matrix
-    [Y(jw)] per frequency point and solves [Y v = i]; systems are tiny
-    (3-6 unknowns) so a dense LU with partial pivoting is ideal. *)
-
-exception Singular
+(** Dense complex matrices: the input and workspace of the eigenvalue
+    solver ({!Eig}).  Linear systems are solved by {!Lu}. *)
 
 type t
 
@@ -15,14 +10,4 @@ val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> Complex.t
 val set : t -> int -> int -> Complex.t -> unit
-val add_entry : t -> int -> int -> Complex.t -> unit
-(** [add_entry m i j z] accumulates: [m.(i).(j) <- m.(i).(j) + z].
-    This is the MNA "stamp" primitive. *)
-
 val copy : t -> t
-val mul_vec : t -> Complex.t array -> Complex.t array
-
-val solve : t -> Complex.t array -> Complex.t array
-(** Solve [A x = b] by LU with partial pivoting (by modulus).  The input
-    matrix is not modified.
-    @raise Singular when the matrix is numerically singular. *)

@@ -149,13 +149,3 @@ let eigenvalues ?(max_sweeps = 40) a =
     done;
     Array.of_list (Cmat.get h 0 0 :: !eigs)
   end
-
-let eigenvalues_real ?max_sweeps a =
-  let n = Mat.rows a in
-  let c = Cmat.create n (Mat.cols a) in
-  for i = 0 to n - 1 do
-    for j = 0 to Mat.cols a - 1 do
-      Cmat.set c i j (cx (Mat.get a i j) 0.0)
-    done
-  done;
-  eigenvalues ?max_sweeps c

@@ -12,6 +12,3 @@ val eigenvalues : ?max_sweeps:int -> Cmat.t -> Complex.t array
     @raise Invalid_argument on a non-square input.
     @raise No_convergence when a sub-diagonal fails to deflate within
     [max_sweeps] (default 40) iterations per eigenvalue. *)
-
-val eigenvalues_real : ?max_sweeps:int -> Mat.t -> Complex.t array
-(** Convenience wrapper embedding a real matrix into the complex solver. *)

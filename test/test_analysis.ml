@@ -5,7 +5,6 @@
 module Topology = Into_circuit.Topology
 module Params = Into_circuit.Params
 module Netlist = Into_circuit.Netlist
-module Mna = Into_circuit.Mna
 module Linear_system = Into_circuit.Linear_system
 module Poles_zeros = Into_circuit.Poles_zeros
 module Transient = Into_circuit.Transient
@@ -15,6 +14,8 @@ module Spice_export = Into_circuit.Spice_export
 module Perf = Into_circuit.Perf
 module Spec = Into_circuit.Spec
 module Rng = Into_util.Rng
+module Mat = Into_linalg.Mat
+module Lu = Into_linalg.Lu
 
 let check_close tol = Alcotest.(check (float tol))
 
@@ -42,6 +43,29 @@ let sized_feasible =
 
 (* --- Linear_system --- *)
 
+(* [vout/vin] of the frequency-domain stamps (modified nodal analysis). *)
+let transfer nl ~freq_hz =
+  let ws = Linear_system.ac (Linear_system.build nl) in
+  Linear_system.factor_at ws ~freq_hz;
+  Linear_system.vout ws
+
+(* [vout/vin] of the descriptor pencil: [(G + jwC) x = b_g + jw b_c],
+   solved with the same LU. *)
+let descriptor_transfer sys ~freq_hz =
+  let w = 2.0 *. Float.pi *. freq_hz in
+  let n = sys.Linear_system.n in
+  let y = Lu.create n in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      Lu.add y i j (Mat.get sys.Linear_system.g i j) (w *. Mat.get sys.Linear_system.c i j)
+    done
+  done;
+  Lu.factor y;
+  let re = Array.copy sys.Linear_system.b_g in
+  let im = Array.map (fun b -> w *. b) sys.Linear_system.b_c in
+  Lu.solve y re im;
+  { Complex.re = re.(sys.Linear_system.output); im = im.(sys.Linear_system.output) }
+
 let prop_linearization_matches_mna =
   QCheck.Test.make ~name:"descriptor transfer = MNA transfer" ~count:40
     QCheck.(pair (int_range 0 (Topology.space_size - 1)) small_int)
@@ -54,11 +78,64 @@ let prop_linearization_matches_mna =
       let sys = Linear_system.build nl in
       List.for_all
         (fun f ->
-          match (Mna.transfer nl ~freq_hz:f, Linear_system.transfer sys ~freq_hz:f) with
+          match (transfer nl ~freq_hz:f, descriptor_transfer sys ~freq_hz:f) with
           | a, b ->
             Complex.norm (Complex.sub a b) <= 1e-6 *. (Complex.norm a +. 1e-9)
-          | exception Mna.Singular -> true)
+          | exception Lu.Singular -> true)
         [ 1.0; 1e3; 1e6; 1e9 ])
+
+(* A fixed slice of the design space — every 306th topology index, at its
+   default sizing and at one seeded random sizing — pinned by the digest of
+   %h renderings of the evaluation metrics (or failure class), the poles
+   and zeros, and the noise figures.  The value was recorded when the AC
+   sweep and the noise analysis stamped their own admittance matrices and
+   solved them with a separate complex LU, and pole extraction used a real
+   LU; one linearization and one LU must reproduce every bit. *)
+let pinned_line idx sizing =
+  let h = Printf.sprintf "%h" in
+  let cxs zs = String.concat ";" (List.map (fun z -> h z.Complex.re ^ "," ^ h z.Complex.im) zs) in
+  let topo = Topology.of_index idx in
+  let perf =
+    match Perf.evaluate_checked topo ~sizing ~cl_f:10e-12 with
+    | Ok p -> String.concat "," (List.map h [ p.Perf.gain_db; p.gbw_hz; p.pm_deg; p.power_w ])
+    | Error `Singular -> "singular"
+    | Error `No_convergence -> "no-convergence"
+    | Error (`Non_finite field) -> "non-finite " ^ field
+  in
+  let nl = Netlist.build topo ~sizing ~cl_f:10e-12 in
+  let pz =
+    match Poles_zeros.analyze nl with
+    | r -> cxs r.Poles_zeros.poles_hz ^ " / " ^ cxs r.Poles_zeros.zeros_hz
+    | exception Into_linalg.Eig.No_convergence -> "no-convergence"
+  in
+  let noise =
+    match Noise.analyze nl with
+    | r ->
+      Printf.sprintf "%s %s %d" (h r.Noise.output_rms_v)
+        (match r.Noise.input_spot_nv with None -> "-" | Some v -> h v)
+        r.Noise.n_sources
+    | exception Lu.Singular -> "singular"
+  in
+  Printf.sprintf "%d|%s|%s|%s\n" idx perf pz noise
+
+let pinned_slice () =
+  let stride = 306 in
+  List.concat_map
+    (fun k ->
+      let idx = k * stride in
+      let schema = Params.schema (Topology.of_index idx) in
+      let rng = Rng.create ~seed:idx in
+      [
+        pinned_line idx (Params.denormalize schema (Params.default_point schema));
+        pinned_line idx (Params.denormalize schema (Params.random_point rng schema));
+      ])
+    (List.init (((Topology.space_size - 1) / stride) + 1) Fun.id)
+
+let test_pinned_slice () =
+  let lines = pinned_slice () in
+  Alcotest.(check int) "points" 202 (List.length lines);
+  Alcotest.(check string) "digest" "895bb6ec3c63a364ae666455091bf371"
+    (Digest.to_hex (Digest.string (String.concat "" lines)))
 
 let test_linearization_size () =
   let sys = Linear_system.build (nmc_netlist ()) in
@@ -163,7 +240,7 @@ let test_open_loop_step_dc_gain () =
   let nl = Netlist.build topo ~sizing ~cl_f:10e-12 in
   let w = Transient.step_response ~closed_loop:false ~t_end:1e-3 ~points:100 nl in
   (* Open-loop DC target equals the low-frequency gain. *)
-  let gain = Complex.norm (Mna.transfer nl ~freq_hz:1e-3) in
+  let gain = Complex.norm (transfer nl ~freq_hz:1e-3) in
   match w.Transient.final_value with
   | None -> Alcotest.fail "open-loop DC target missing"
   | Some fv ->
@@ -275,6 +352,7 @@ let () =
         [
           Alcotest.test_case "unknown count" `Quick test_linearization_size;
           QCheck_alcotest.to_alcotest prop_linearization_matches_mna;
+          Alcotest.test_case "pinned AC, pole/zero and noise digest" `Quick test_pinned_slice;
         ] );
       ( "poles_zeros",
         [

@@ -7,7 +7,7 @@ module Topology = Into_circuit.Topology
 module Params = Into_circuit.Params
 module Process = Into_circuit.Process
 module Netlist = Into_circuit.Netlist
-module Mna = Into_circuit.Mna
+module Linear_system = Into_circuit.Linear_system
 module Ac = Into_circuit.Ac
 module Perf = Into_circuit.Perf
 module Spec = Into_circuit.Spec
@@ -193,6 +193,12 @@ let test_netlist_dimension_check () =
 
 (* Hand-built netlists for stamp verification; unused nodes v1/v2 get unit
    conductances to ground so the system stays regular. *)
+(* [vout/vin] of the modified-nodal-analysis stamps at one frequency. *)
+let transfer nl ~freq_hz =
+  let ws = Linear_system.ac (Linear_system.build nl) in
+  Linear_system.factor_at ws ~freq_hz;
+  Linear_system.vout ws
+
 let bare_netlist prims =
   {
     Netlist.prims =
@@ -214,7 +220,7 @@ let test_mna_single_stage_dc () =
         Netlist.Capacitance (Netlist.N 2, Netlist.Gnd, 1e-12);
       ]
   in
-  let h = Mna.transfer nl ~freq_hz:1e-3 in
+  let h = transfer nl ~freq_hz:1e-3 in
   check_close 1e-6 "DC gain -gm R" (-100.0) h.Complex.re;
   check_close 1e-6 "no imaginary part at DC" 0.0 h.Complex.im
 
@@ -229,7 +235,7 @@ let test_mna_pole_frequency () =
         Netlist.Capacitance (Netlist.N 2, Netlist.Gnd, c);
       ]
   in
-  let h = Mna.transfer nl ~freq_hz:fp in
+  let h = transfer nl ~freq_hz:fp in
   check_close 1e-3 "magnitude -3dB at the pole" (gm *. r /. sqrt 2.0) (Complex.norm h);
   check_close 1e-3 "phase at the pole" (3.0 *. Float.pi /. 4.0) (Complex.arg h)
 
@@ -244,7 +250,7 @@ let test_mna_series_rc_admittance () =
         Netlist.Conductance (Netlist.N 2, Netlist.Gnd, g);
       ]
   in
-  let h = Mna.transfer nl ~freq_hz:f in
+  let h = transfer nl ~freq_hz:f in
   let w = 2.0 *. Float.pi *. f in
   let y =
     Complex.div { Complex.re = 0.0; im = w *. c } { Complex.re = 1.0; im = w *. r *. c }
@@ -259,7 +265,7 @@ let test_three_stage_dc_gain () =
   let gmid = 10.0 in
   let sizing = [| 1e-5; gmid; 1e-5; gmid; 1e-5; gmid |] in
   let nl = Netlist.build bare ~sizing ~cl_f:10e-12 in
-  let h = Mna.transfer nl ~freq_hz:1e-3 in
+  let h = transfer nl ~freq_hz:1e-3 in
   let expected = (gmid *. Process.behavioral.Process.va) ** 3.0 in
   check_close (expected *. 1e-4) "analytic three-stage DC gain" expected (Complex.norm h);
   Alcotest.(check bool) "positive overall sign" true (h.Complex.re > 0.0)

@@ -1,5 +1,5 @@
 (* Unit and property tests for Into_linalg: vectors, matrices, Cholesky,
-   real LU and complex LU. *)
+   complex LU and eigenvalues. *)
 
 module Vec = Into_linalg.Vec
 module Mat = Into_linalg.Mat
@@ -101,72 +101,118 @@ let test_cholesky_logdet () =
 
 (* --- LU --- *)
 
+let cx re im = { Complex.re; im }
+
+(* Factor a complex matrix given as rows of [Complex.t] and solve one
+   right-hand side. *)
+let lu_solve rows b =
+  let n = Array.length rows in
+  let t = Lu.create n in
+  Array.iteri
+    (fun i row -> Array.iteri (fun j z -> Lu.add t i j z.Complex.re z.Complex.im) row)
+    rows;
+  Lu.factor t;
+  let re = Array.map (fun z -> z.Complex.re) b and im = Array.map (fun z -> z.Complex.im) b in
+  Lu.solve t re im;
+  Array.init n (fun i -> cx re.(i) im.(i))
+
+let residual_ok tol rows x b =
+  Array.for_all2
+    (fun row bi ->
+      let ax = ref Complex.zero in
+      Array.iteri (fun j z -> ax := Complex.add !ax (Complex.mul z x.(j))) row;
+      Complex.norm (Complex.sub !ax bi) < tol)
+    rows b
+
 let prop_lu_solve =
+  (* Real systems embedded in the complex plane, as pole extraction and the
+     transient integrator use them. *)
   QCheck.Test.make ~name:"lu: A x = b round trip" ~count:50
     QCheck.(pair (entries_gen 4) (vec_gen 4))
     (fun (entries, b) ->
       QCheck.assume (List.length entries = 16 && List.length b = 4);
       let a = Mat.add_diagonal (Mat.init 4 4 (fun i j -> List.nth entries ((i * 4) + j))) 5.0 in
-      let x = Lu.solve_system a (Array.of_list b) in
-      Vec.max_abs_diff (Mat.mul_vec a x) (Array.of_list b) < 1e-7)
+      let t = Lu.of_real a in
+      Lu.factor t;
+      let re = Array.of_list b and im = Array.make 4 0.0 in
+      Lu.solve t re im;
+      Vec.max_abs_diff (Mat.mul_vec a re) (Array.of_list b) < 1e-7
+      && Array.for_all (fun v -> Float.abs v < 1e-7) im)
 
-let test_lu_singular () =
-  let a = Mat.of_rows [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
-  Alcotest.check_raises "singular rejected" Lu.Singular (fun () ->
-      ignore (Lu.decompose a))
-
-let test_lu_det () =
-  let a = Mat.of_rows [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
-  check_close 1e-10 "det" 5.0 (Lu.det (Lu.decompose a));
-  (* Permuted rows flip the determinant's sign relative to the original. *)
-  let p = Mat.of_rows [| [| 1.0; 3.0 |]; [| 2.0; 1.0 |] |] in
-  check_close 1e-10 "det permuted" (-5.0) (Lu.det (Lu.decompose p))
-
-(* --- Cmat --- *)
-
-let cx re im = { Complex.re; im }
-
-let test_cmat_stamp () =
-  let m = Cmat.create 2 2 in
-  Cmat.add_entry m 0 0 (cx 1.0 0.0);
-  Cmat.add_entry m 0 0 (cx 0.5 2.0);
-  let v = Cmat.get m 0 0 in
-  check_close 1e-12 "accumulated re" 1.5 v.Complex.re;
-  check_close 1e-12 "accumulated im" 2.0 v.Complex.im
-
-let prop_cmat_solve =
-  QCheck.Test.make ~name:"cmat: A x = b round trip" ~count:50
+let prop_lu_complex_solve =
+  QCheck.Test.make ~name:"lu: complex A x = b round trip" ~count:50
     QCheck.(list_of_size (Gen.return 24) (float_range (-2.0) 2.0))
     (fun entries ->
       QCheck.assume (List.length entries = 24);
       let n = 3 in
-      let a = Cmat.create n n in
-      List.iteri
-        (fun k v ->
-          let idx = k / 2 in
-          if idx < n * n then
-            let i = idx / n and j = idx mod n in
-            let cur = Cmat.get a i j in
-            if k mod 2 = 0 then Cmat.set a i j { cur with Complex.re = v }
-            else Cmat.set a i j { cur with Complex.im = v })
-        entries;
-      for i = 0 to n - 1 do
-        Cmat.add_entry a i i (cx 10.0 0.0)
-      done;
+      let e = Array.of_list entries in
+      let rows =
+        Array.init n (fun i ->
+            Array.init n (fun j ->
+                let k = 2 * ((i * n) + j) in
+                cx (e.(k) +. if i = j then 10.0 else 0.0) e.(k + 1)))
+      in
       let b = Array.init n (fun i -> cx (float_of_int (i + 1)) (-1.0)) in
-      let x = Cmat.solve a b in
-      let r = Cmat.mul_vec a x in
-      Array.for_all2 (fun u v -> Complex.norm (Complex.sub u v) < 1e-8) r b)
+      residual_ok 1e-8 rows (lu_solve rows b) b)
+
+let prop_lu_rank_deficient =
+  QCheck.Test.make ~name:"lu: rank-deficient raises Singular" ~count:50
+    QCheck.(triple (list_of_size (Gen.return 32) (float_range (-2.0) 2.0)) (int_range 0 3) bool)
+    (fun (entries, zero_col, real) ->
+      QCheck.assume (List.length entries = 32);
+      let e = Array.of_list entries in
+      let rows =
+        Array.init 4 (fun i ->
+            Array.init 4 (fun j ->
+                let k = 2 * ((i * 4) + j) in
+                if j = zero_col then Complex.zero
+                else cx (e.(k) +. if i = j then 5.0 else 0.0) (if real then 0.0 else e.(k + 1))))
+      in
+      match lu_solve rows (Array.make 4 Complex.one) with
+      | _ -> false
+      | exception Lu.Singular -> true)
+
+let test_lu_singular () =
+  let real = [| [| cx 1.0 0.0; cx 2.0 0.0 |]; [| cx 2.0 0.0; cx 4.0 0.0 |] |] in
+  Alcotest.check_raises "real singular rejected" Lu.Singular (fun () ->
+      ignore (lu_solve real [| Complex.one; Complex.one |]));
+  let complex = [| [| cx 1.0 1.0; cx 0.0 2.0 |]; [| cx 2.0 2.0; cx 0.0 4.0 |] |] in
+  Alcotest.check_raises "complex singular rejected" Lu.Singular (fun () ->
+      ignore (lu_solve complex [| Complex.one; Complex.one |]))
+
+let test_lu_stamp () =
+  (* Stamps accumulate: 1 + (0.5 + 2j) on a 1x1 system. *)
+  let t = Lu.create 1 in
+  Lu.add t 0 0 1.0 0.0;
+  Lu.add t 0 0 0.5 2.0;
+  Lu.factor t;
+  let re = [| 1.5 |] and im = [| 2.0 |] in
+  Lu.solve t re im;
+  check_close 1e-12 "accumulated re" 1.0 re.(0);
+  check_close 1e-12 "accumulated im" 0.0 im.(0)
+
+(* --- Cmat --- *)
 
 let test_cmat_singular () =
+  (* A singular matrix held in a Cmat is rejected when solved by the LU. *)
   let a = Cmat.create 2 2 in
   Cmat.set a 0 0 (cx 1.0 0.0);
   Cmat.set a 0 1 (cx 2.0 0.0);
   Cmat.set a 1 0 (cx 2.0 0.0);
   Cmat.set a 1 1 (cx 4.0 0.0);
-  Alcotest.check_raises "singular" Cmat.Singular (fun () ->
-      ignore (Cmat.solve a [| Complex.one; Complex.one |]))
+  let rows = Array.init (Cmat.rows a) (fun i -> Array.init (Cmat.cols a) (Cmat.get a i)) in
+  Alcotest.check_raises "singular" Lu.Singular (fun () ->
+      ignore (lu_solve rows [| Complex.one; Complex.one |]))
 
+(* Eigenvalue tests feed real matrices through the complex solver. *)
+let complex_of_real a =
+  let m = Cmat.create (Mat.rows a) (Mat.cols a) in
+  for i = 0 to Mat.rows a - 1 do
+    for j = 0 to Mat.cols a - 1 do
+      Cmat.set m i j (cx (Mat.get a i j) 0.0)
+    done
+  done;
+  m
 
 (* --- Eig --- *)
 
@@ -191,7 +237,7 @@ let test_eig_triangular () =
 let test_eig_companion () =
   (* Companion matrix of (x-1)(x-2)(x-3). *)
   let c = Mat.of_rows [| [| 6.0; -11.0; 6.0 |]; [| 1.0; 0.0; 0.0 |]; [| 0.0; 1.0; 0.0 |] |] in
-  let eigs = Array.to_list (Into_linalg.Eig.eigenvalues_real c) in
+  let eigs = Array.to_list (Into_linalg.Eig.eigenvalues (complex_of_real c)) in
   List.iter
     (fun root ->
       Alcotest.(check bool)
@@ -204,7 +250,7 @@ let test_eig_complex_pair () =
   (* Rotation-like matrix: eigenvalues a +- bj. *)
   let a = 0.3 and b = 2.5 in
   let m = Mat.of_rows [| [| a; -.b |]; [| b; a |] |] in
-  let eigs = Into_linalg.Eig.eigenvalues_real m in
+  let eigs = Into_linalg.Eig.eigenvalues (complex_of_real m) in
   Alcotest.(check int) "two eigenvalues" 2 (Array.length eigs);
   Array.iter
     (fun e ->
@@ -218,7 +264,7 @@ let prop_eig_trace =
     (fun entries ->
       QCheck.assume (List.length entries = 25);
       let m = Mat.init 5 5 (fun i j -> List.nth entries ((i * 5) + j)) in
-      match Into_linalg.Eig.eigenvalues_real m with
+      match Into_linalg.Eig.eigenvalues (complex_of_real m) with
       | eigs ->
         let sum = Array.fold_left Complex.add Complex.zero eigs in
         let trace = ref 0.0 in
@@ -256,9 +302,12 @@ let () =
       ( "lu",
         [
           Alcotest.test_case "rejects singular" `Quick test_lu_singular;
-          Alcotest.test_case "determinant" `Quick test_lu_det;
+          Alcotest.test_case "stamping" `Quick test_lu_stamp;
           QCheck_alcotest.to_alcotest prop_lu_solve;
+          QCheck_alcotest.to_alcotest prop_lu_complex_solve;
+          QCheck_alcotest.to_alcotest prop_lu_rank_deficient;
         ] );
+      ("cmat", [ Alcotest.test_case "rejects singular" `Quick test_cmat_singular ]);
       ( "eig",
         [
           Alcotest.test_case "triangular" `Quick test_eig_triangular;
@@ -266,11 +315,5 @@ let () =
           Alcotest.test_case "complex pair" `Quick test_eig_complex_pair;
           Alcotest.test_case "empty/invalid" `Quick test_eig_empty_and_invalid;
           QCheck_alcotest.to_alcotest prop_eig_trace;
-        ] );
-      ( "cmat",
-        [
-          Alcotest.test_case "stamping" `Quick test_cmat_stamp;
-          Alcotest.test_case "rejects singular" `Quick test_cmat_singular;
-          QCheck_alcotest.to_alcotest prop_cmat_solve;
         ] );
     ]
