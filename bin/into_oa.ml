@@ -327,11 +327,11 @@ let analyze index spec seed spice =
         exit 1
     in
     let cl_f = spec.Spec.cl_f in
-    (match Perf.evaluate topo ~sizing ~cl_f with
-    | Some p ->
+    (match Perf.evaluate_checked topo ~sizing ~cl_f with
+    | Ok p ->
       Printf.printf "%s  (meets %s: %b)\n\n" (Perf.to_string p ~cl_f) spec.Spec.name
         (Perf.satisfies p spec)
-    | None -> ());
+    | Error _ -> ());
     let netlist = Into_circuit.Netlist.build topo ~sizing ~cl_f in
     print_endline (Into_circuit.Poles_zeros.describe (Into_circuit.Poles_zeros.analyze netlist));
     let closed = Into_circuit.Poles_zeros.closed_loop_poles netlist in

@@ -28,11 +28,11 @@ let () =
     | Some o -> o.Into_core.Sizing.sizing
     | None -> failwith "sizing failed"
   in
-  (match Perf.evaluate topo ~sizing ~cl_f:spec.Spec.cl_f with
-  | Some p ->
+  (match Perf.evaluate_checked topo ~sizing ~cl_f:spec.Spec.cl_f with
+  | Ok p ->
     Printf.printf "Sized:  %s  (meets %s: %b)\n\n" (Perf.to_string p ~cl_f:spec.Spec.cl_f)
       spec.Spec.name (Perf.satisfies p spec)
-  | None -> ());
+  | Error _ -> ());
 
   let netlist = Netlist.build topo ~sizing ~cl_f:spec.Spec.cl_f in
 

@@ -29,15 +29,15 @@ let () =
     | Some o -> o.Sizing.sizing
     | None -> failwith "seed sizing failed"
   in
-  (match Perf.evaluate c1 ~sizing ~cl_f:Spec.s1.Spec.cl_f with
-  | Some p -> Printf.printf "As designed (10 pF):  %s\n" (Perf.to_string p ~cl_f:Spec.s1.Spec.cl_f)
-  | None -> ());
-  (match Perf.evaluate c1 ~sizing ~cl_f:Spec.s5.Spec.cl_f with
-  | Some p ->
+  (match Perf.evaluate_checked c1 ~sizing ~cl_f:Spec.s1.Spec.cl_f with
+  | Ok p -> Printf.printf "As designed (10 pF):  %s\n" (Perf.to_string p ~cl_f:Spec.s1.Spec.cl_f)
+  | Error _ -> ());
+  (match Perf.evaluate_checked c1 ~sizing ~cl_f:Spec.s5.Spec.cl_f with
+  | Ok p ->
     Printf.printf "Driving S-5 (10 nF):  %s  -> meets S-5: %b\n"
       (Perf.to_string p ~cl_f:Spec.s5.Spec.cl_f)
       (Perf.satisfies p Spec.s5)
-  | None -> ());
+  | Error _ -> ());
 
   (* Train surrogates with a short INTO-OA run on S-5 (the models the paper
      reuses from optimization). *)

@@ -3,7 +3,7 @@ module Topology = Into_circuit.Topology
 module Spec = Into_circuit.Spec
 module Perf = Into_circuit.Perf
 module Evaluator = Into_core.Evaluator
-module Topo_bo = Into_core.Topo_bo
+module Search = Into_core.Search
 
 type config = {
   population : int;
@@ -24,13 +24,6 @@ let default_config =
     runner = Evaluator.serial_runner;
   }
 
-type result = {
-  steps : Topo_bo.step list;
-  best : Evaluator.evaluation option;
-  total_sims : int;
-  rejections : int;
-}
-
 let crossover rng a b =
   List.fold_left
     (fun child slot ->
@@ -42,59 +35,12 @@ type state = {
   cfg : config;
   rng : Rng.t;
   spec : Spec.t;
-  visited : (int, unit) Hashtbl.t;
+  search : Search.t;
   mutable population : Evaluator.evaluation list;
-  mutable steps : Topo_bo.step list;
-  mutable total_sims : int;
-  mutable rejections : int;
-  mutable best : (Evaluator.evaluation * float) option;
 }
 
 let fitness st (e : Evaluator.evaluation) =
   if e.feasible then e.fom else -.Perf.violation e.perf st.spec
-
-let record st ~iteration ~evaluation ~rejection ~failure ~n_sims =
-  st.total_sims <- st.total_sims + n_sims;
-  (match evaluation with
-  | Some (e : Evaluator.evaluation) when e.feasible -> (
-    match st.best with
-    | Some (_, f) when f >= e.fom -> ()
-    | Some _ | None -> st.best <- Some (e, e.fom))
-  | Some _ | None -> ());
-  st.steps <-
-    {
-      Topo_bo.iteration;
-      evaluation;
-      rejection;
-      failure;
-      cumulative_sims = st.total_sims;
-      best_fom_so_far = Option.map snd st.best;
-    }
-    :: st.steps
-
-let record_outcome st ~iteration outcome =
-  match outcome with
-  | Evaluator.Evaluated e ->
-    record st ~iteration ~evaluation:(Some e) ~rejection:[] ~failure:None
-      ~n_sims:e.n_sims;
-    Some e
-  | Evaluator.Rejected diags ->
-    st.rejections <- st.rejections + 1;
-    record st ~iteration ~evaluation:None ~rejection:diags ~failure:None ~n_sims:0;
-    None
-  | Evaluator.Failed reason ->
-    record st ~iteration ~evaluation:None ~rejection:[] ~failure:(Some reason)
-      ~n_sims:(Evaluator.sims_of_failed_evaluation ~sizing_config:st.cfg.sizing);
-    None
-
-(* Seed drawn at scheduling time: see [Into_core.Evaluator.fresh_seed]. *)
-let task_of st topo =
-  Hashtbl.replace st.visited (Topology.to_index topo) ();
-  Evaluator.task ~spec:st.spec ~sizing_config:st.cfg.sizing
-    ~seed:(Evaluator.fresh_seed st.rng) topo
-
-let evaluate st ~iteration topo =
-  record_outcome st ~iteration (st.cfg.runner.Evaluator.run_one (task_of st topo))
 
 let tournament_select st =
   let pop = Array.of_list st.population in
@@ -126,13 +72,13 @@ let offspring st =
     if attempts = 0 then
       let rec random_unvisited n =
         let t = Topology.random st.rng in
-        if n = 0 || not (Hashtbl.mem st.visited (Topology.to_index t)) then t
+        if n = 0 || not (Search.visited st.search t) then t
         else random_unvisited (n - 1)
       in
       random_unvisited 50
     else
       let c = make () in
-      if Hashtbl.mem st.visited (Topology.to_index c) then search (attempts - 1) else c
+      if Search.visited st.search c then search (attempts - 1) else c
   in
   search 20
 
@@ -148,53 +94,16 @@ let replace_worst st e =
     else ()
 
 let run ?(config = default_config) ~rng ~spec () =
-  let st =
-    {
-      cfg = config;
-      rng;
-      spec;
-      visited = Hashtbl.create 256;
-      population = [];
-      steps = [];
-      total_sims = 0;
-      rejections = 0;
-      best = None;
-    }
-  in
-  (* The initial population evaluates as one batch (parallel under a pooled
-     runner); outcomes are recorded in draw order, so the result matches the
-     serial interleaving exactly. *)
-  let init_tasks = ref [] in
-  let added = ref 0 in
-  let guard = ref 0 in
-  while !added < config.population && !guard < 100 * config.population do
-    incr guard;
-    let t = Topology.random st.rng in
-    if not (Hashtbl.mem st.visited (Topology.to_index t)) then begin
-      incr added;
-      init_tasks := task_of st t :: !init_tasks
-    end
-  done;
-  let init_outcomes =
-    config.runner.Evaluator.run_batch (Array.of_list (List.rev !init_tasks))
-  in
-  Array.iter
-    (fun outcome ->
-      match record_outcome st ~iteration:0 outcome with
-      | Some e -> st.population <- e :: st.population
-      | None -> ())
-    init_outcomes;
+  let search = Search.create ~rng ~spec ~sizing:config.sizing ~runner:config.runner in
+  (* Newest individual first, the order [replace_worst] keeps. *)
+  let population = List.rev (Search.initial search config.population) in
+  let st = { cfg = config; rng; spec; search; population } in
   for iteration = 1 to config.iterations do
-    if st.population = [] then ignore (evaluate st ~iteration (Topology.random st.rng))
+    if st.population = [] then ignore (Search.evaluate search ~iteration (Topology.random st.rng))
     else
       let child = offspring st in
-      match evaluate st ~iteration child with
+      match Search.evaluate search ~iteration child with
       | Some e -> replace_worst st e
       | None -> ()
   done;
-  {
-    steps = List.rev st.steps;
-    best = Option.map fst st.best;
-    total_sims = st.total_sims;
-    rejections = st.rejections;
-  }
+  Search.trace search

@@ -22,15 +22,14 @@ type config = {
 
 val default_config : config
 
-type result = {
-  steps : Into_core.Topo_bo.step list;  (** same shape as the BO trace *)
-  best : Into_core.Evaluator.evaluation option;
-  total_sims : int;
-  rejections : int;  (** candidates rejected by the static gate *)
-}
-
 val run :
-  ?config:config -> rng:Into_util.Rng.t -> spec:Into_circuit.Spec.t -> unit -> result
+  ?config:config ->
+  rng:Into_util.Rng.t ->
+  spec:Into_circuit.Spec.t ->
+  unit ->
+  Into_core.Search.trace
+(** The trace has the same shape as every other method's: budget, best
+    design and rejections are kept by {!Into_core.Search}. *)
 
 val crossover :
   Into_util.Rng.t ->

@@ -15,9 +15,9 @@ let run ?(trials = 100) ?(sigma = 0.05) ~rng ~spec topo ~sizing =
     let perturbed =
       Array.map (fun v -> v *. exp (sigma *. Into_util.Rng.gaussian rng)) sizing
     in
-    match Perf.evaluate topo ~sizing:perturbed ~cl_f:spec.Spec.cl_f with
-    | None -> worst_pm := Float.min !worst_pm (-180.0)
-    | Some p ->
+    match Perf.evaluate_checked topo ~sizing:perturbed ~cl_f:spec.Spec.cl_f with
+    | Error _ -> worst_pm := Float.min !worst_pm (-180.0)
+    | Ok p ->
       worst_pm := Float.min !worst_pm p.Perf.pm_deg;
       if Perf.satisfies p spec then begin
         incr passes;

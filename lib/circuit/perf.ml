@@ -84,10 +84,6 @@ let evaluate_checked ?process topo ~sizing ~cl_f =
   with
   | r -> r
   | exception Into_linalg.Lu.Singular -> Error `Singular
-  | exception Into_linalg.Eig.No_convergence -> Error `No_convergence
-
-let evaluate ?process topo ~sizing ~cl_f =
-  Result.to_option (evaluate_checked ?process topo ~sizing ~cl_f)
 
 let to_string t ~cl_f =
   Printf.sprintf "Gain=%.2fdB GBW=%.3fMHz PM=%.2fdeg Power=%.2fuW FoM=%.2f"

@@ -41,18 +41,14 @@ val evaluate_checked :
   Topology.t ->
   sizing:float array ->
   cl_f:float ->
-  (t, [ `Singular | `No_convergence | `Non_finite of string ]) result
+  (t, [ `Singular | `Non_finite of string ]) result
 (** Full evaluation: expand the netlist, run the AC analysis with the
     eigenvalue stability guard, attach static power.  Failures come back
     typed instead of raising or collapsing into an option: [`Singular] for
     a numerically singular system (from any solver layer),
-    [`No_convergence] for an eigensolver that escaped the stability guard,
-    [`Non_finite field] when a NaN/inf leaked into the named metric.  A
-    returned [Ok] record always passes {!is_finite}. *)
-
-val evaluate :
-  ?process:Process.t -> Topology.t -> sizing:float array -> cl_f:float -> t option
-(** {!evaluate_checked} collapsed to an option for callers that don't
-    classify ([None] on any failure). *)
+    [`Non_finite field] when a NaN/inf leaked into the named metric.  An
+    eigensolver that fails to converge cannot escape: the stability guard
+    reads it as unstable.  A returned [Ok] record always passes
+    {!is_finite}. *)
 
 val to_string : t -> cl_f:float -> string

@@ -51,9 +51,9 @@ let outcome_summary ~cl_f = function
 let render ~models ~spec ~sizing topo =
   let cl_f = spec.Spec.cl_f in
   let perf =
-    match Perf.evaluate topo ~sizing ~cl_f with
-    | Some p -> p
-    | None -> invalid_arg "Design_report.render: design does not simulate"
+    match Perf.evaluate_checked topo ~sizing ~cl_f with
+    | Ok p -> p
+    | Error _ -> invalid_arg "Design_report.render: design does not simulate"
   in
   let netlist = Into_circuit.Netlist.build topo ~sizing ~cl_f in
   let pz = Into_circuit.Poles_zeros.analyze netlist in

@@ -73,18 +73,10 @@ let evaluate_gated ?(sizing_config = Sizing.default_config) ~rng ~spec topo =
           n_sims = result.Sizing.n_sims;
         })
 
-let evaluate ?sizing_config ~rng ~spec topo =
-  match evaluate_gated ?sizing_config ~rng ~spec topo with
-  | Evaluated e -> Some e
-  | Rejected _ | Failed _ -> None
-
-let sims_of_failed_evaluation ~sizing_config =
-  sizing_config.Sizing.n_init + sizing_config.Sizing.n_iter
-
 let sims_of_outcome ~sizing_config = function
   | Evaluated e -> e.n_sims
   | Rejected _ -> 0
-  | Failed _ -> sims_of_failed_evaluation ~sizing_config
+  | Failed _ -> sizing_config.Sizing.n_init + sizing_config.Sizing.n_iter
 
 type task = {
   task_topology : Into_circuit.Topology.t;

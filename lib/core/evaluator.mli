@@ -48,22 +48,10 @@ val evaluate_gated :
   Into_circuit.Topology.t ->
   outcome
 
-val evaluate :
-  ?sizing_config:Sizing.config ->
-  rng:Into_util.Rng.t ->
-  spec:Into_circuit.Spec.t ->
-  Into_circuit.Topology.t ->
-  evaluation option
-(** [evaluate_gated] collapsed to an option: [None] for both [Rejected] and
-    [Failed] candidates (callers should treat this as a dead topology). *)
-
-val sims_of_failed_evaluation : sizing_config:Sizing.config -> int
-(** Budget charged when the outcome is [Failed] (a [Rejected] candidate
-    charges nothing). *)
-
 val sims_of_outcome : sizing_config:Sizing.config -> outcome -> int
 (** Simulation budget spent producing one outcome: [n_sims] when evaluated,
-    the failed-evaluation charge when [Failed], zero when [Rejected]. *)
+    every planned sizing attempt ([n_init + n_iter]) when [Failed], zero
+    when [Rejected]. *)
 
 (** {2 The evaluation task boundary}
 

@@ -1,6 +1,5 @@
 type t =
   | Singular
-  | No_convergence
   | Non_finite of string
   | Timeout
   | Worker_crash
@@ -9,7 +8,6 @@ type t =
 
 let class_name = function
   | Singular -> "singular"
-  | No_convergence -> "no-convergence"
   | Non_finite _ -> "non-finite"
   | Timeout -> "timeout"
   | Worker_crash -> "worker-crash"
@@ -19,7 +17,6 @@ let class_name = function
 let all_class_names =
   [
     "singular";
-    "no-convergence";
     "non-finite";
     "timeout";
     "worker-crash";
@@ -29,12 +26,11 @@ let all_class_names =
 
 let class_index = function
   | Singular -> 0
-  | No_convergence -> 1
-  | Non_finite _ -> 2
-  | Timeout -> 3
-  | Worker_crash -> 4
-  | Cache_corrupt -> 5
-  | Other _ -> 6
+  | Non_finite _ -> 1
+  | Timeout -> 2
+  | Worker_crash -> 3
+  | Cache_corrupt -> 4
+  | Other _ -> 5
 
 let to_string = function
   | Non_finite what -> Printf.sprintf "non-finite (%s)" what
@@ -43,4 +39,4 @@ let to_string = function
 
 let environmental = function
   | Timeout | Worker_crash | Cache_corrupt -> true
-  | Singular | No_convergence | Non_finite _ | Other _ -> false
+  | Singular | Non_finite _ | Other _ -> false

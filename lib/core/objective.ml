@@ -28,4 +28,9 @@ let fom_value perf ~cl_f = log10_floor 1e-6 (Perf.fom perf ~cl_f)
 let penalized_fom_value perf spec ~cl_f =
   fom_value perf ~cl_f -. (2.0 *. Perf.violation perf spec)
 
+let target_names = List.map (fun m -> m.name) metrics @ [ "fom" ]
+
+let targets perf spec =
+  Array.append (metric_values perf) [| penalized_fom_value perf spec ~cl_f:spec.Spec.cl_f |]
+
 let feasible = Perf.satisfies

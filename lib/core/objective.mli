@@ -29,5 +29,12 @@ val penalized_fom_value :
     target continuous at the feasibility boundary while ranking feasible
     designs purely by FoM. *)
 
+val target_names : string list
+(** The five surrogate targets: the {!metrics} names, then ["fom"]. *)
+
+val targets : Into_circuit.Perf.t -> Into_circuit.Spec.t -> float array
+(** The five surrogate targets of one design, parallel to {!target_names}:
+    {!metric_values}, then {!penalized_fom_value} at the spec's load. *)
+
 val feasible : Into_circuit.Perf.t -> Into_circuit.Spec.t -> bool
 (** Same as {!Into_circuit.Perf.satisfies} (untransformed). *)

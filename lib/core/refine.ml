@@ -105,9 +105,9 @@ let refine ?(max_moves = 5) ?(sizing_config = Sizing.default_config) ~models ~rn
   let cl_f = spec.Spec.cl_f in
   let n_sims = ref 1 in
   let original_perf =
-    match Perf.evaluate topology ~sizing ~cl_f with
-    | Some p -> p
-    | None -> invalid_arg "Refine.refine: original design does not simulate"
+    match Perf.evaluate_checked topology ~sizing ~cl_f with
+    | Ok p -> p
+    | Error _ -> invalid_arg "Refine.refine: original design does not simulate"
   in
   match critical_of original_perf spec with
   | None ->
@@ -146,9 +146,9 @@ let refine ?(max_moves = 5) ?(sizing_config = Sizing.default_config) ~models ~rn
         let sized =
           if free = [] then begin
             incr n_sims;
-            match Perf.evaluate candidate ~sizing:start_phys ~cl_f with
-            | Some p -> Some (start_phys, p)
-            | None -> None
+            match Perf.evaluate_checked candidate ~sizing:start_phys ~cl_f with
+            | Ok p -> Some (start_phys, p)
+            | Error _ -> None
           end
           else begin
             let result =

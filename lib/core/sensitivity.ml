@@ -29,9 +29,9 @@ let remove_slot topo ~sizing slot =
 
 let analyze topo ~sizing ~cl_f =
   let before =
-    match Perf.evaluate topo ~sizing ~cl_f with
-    | Some p -> p
-    | None -> invalid_arg "Sensitivity.analyze: baseline simulation failed"
+    match Perf.evaluate_checked topo ~sizing ~cl_f with
+    | Ok p -> p
+    | Error _ -> invalid_arg "Sensitivity.analyze: baseline simulation failed"
   in
   List.filter_map
     (fun slot ->
@@ -43,6 +43,6 @@ let analyze topo ~sizing ~cl_f =
             slot;
             removed = Topology.get topo slot;
             before;
-            after = Perf.evaluate reduced ~sizing:sizing' ~cl_f;
+            after = Result.to_option (Perf.evaluate_checked reduced ~sizing:sizing' ~cl_f);
           })
     Topology.slots

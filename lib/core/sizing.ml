@@ -106,7 +106,6 @@ let evaluate st u =
     record_failure st
       (match e with
       | `Singular -> Fail.Singular
-      | `No_convergence -> Fail.No_convergence
       | `Non_finite field -> Fail.Non_finite field);
     None
   | Ok perf ->

@@ -1,5 +1,4 @@
 module Rng = Into_util.Rng
-module Topology = Into_circuit.Topology
 module Spec = Into_circuit.Spec
 module Wl = Into_graph.Wl
 module Wl_gp = Into_gp.Wl_gp
@@ -32,7 +31,7 @@ let default_config strategy =
     runner = Evaluator.serial_runner;
   }
 
-type step = {
+type step = Search.step = {
   iteration : int;
   evaluation : Evaluator.evaluation option;
   rejection : Into_analysis.Diagnostic.t list;
@@ -50,25 +49,11 @@ type result = {
   rejections : int;
 }
 
-let model_names = List.map (fun m -> m.Objective.name) Objective.metrics @ [ "fom" ]
-
 let model_targets ~spec (evals : Evaluator.evaluation list) =
-  let n_metrics = List.length Objective.metrics in
+  let vectors = List.map (fun (e : Evaluator.evaluation) -> Objective.targets e.perf spec) evals in
   List.mapi
-    (fun m name ->
-      let y =
-        if m < n_metrics then
-          Array.of_list
-            (List.map (fun (e : Evaluator.evaluation) -> (Objective.metric_values e.perf).(m)) evals)
-        else
-          Array.of_list
-            (List.map
-               (fun (e : Evaluator.evaluation) ->
-                 Objective.penalized_fom_value e.perf spec ~cl_f:spec.Spec.cl_f)
-               evals)
-      in
-      (name, y))
-    model_names
+    (fun m name -> (name, Array.of_list (List.map (fun v -> v.(m)) vectors)))
+    Objective.target_names
 
 (* Only finite observations may reach a GP: a single NaN target corrupts
    the whole Cholesky factorization, silently.  The evaluator already
@@ -95,63 +80,12 @@ type state = {
   rng : Rng.t;
   spec : Spec.t;
   dict : Wl.dict;
-  visited : (int, unit) Hashtbl.t;
-  mutable evals : Evaluator.evaluation list;  (** chronological *)
-  mutable steps : step list;  (** reverse chronological *)
-  mutable total_sims : int;
-  mutable rejections : int;
-  mutable best : (Evaluator.evaluation * float) option;
+  search : Search.t;
   mutable hyper : (string * (int * float * float)) list;  (** per-model (h, noise, signal) *)
 }
 
-let record_step st ~iteration ~evaluation ~rejection ~failure ~n_sims =
-  st.total_sims <- st.total_sims + n_sims;
-  (match evaluation with
-  | Some (e : Evaluator.evaluation) ->
-    st.evals <- st.evals @ [ e ];
-    if e.feasible then begin
-      match st.best with
-      | Some (_, f) when f >= e.fom -> ()
-      | Some _ | None -> st.best <- Some (e, e.fom)
-    end
-  | None -> ());
-  st.steps <-
-    {
-      iteration;
-      evaluation;
-      rejection;
-      failure;
-      cumulative_sims = st.total_sims;
-      best_fom_so_far = Option.map snd st.best;
-    }
-    :: st.steps
-
-let record_outcome st ~iteration outcome =
-  match outcome with
-  | Evaluator.Evaluated e ->
-    record_step st ~iteration ~evaluation:(Some e) ~rejection:[] ~failure:None
-      ~n_sims:e.n_sims
-  | Evaluator.Rejected diags ->
-    st.rejections <- st.rejections + 1;
-    record_step st ~iteration ~evaluation:None ~rejection:diags ~failure:None ~n_sims:0
-  | Evaluator.Failed reason ->
-    let n_sims = Evaluator.sims_of_failed_evaluation ~sizing_config:st.cfg.sizing in
-    record_step st ~iteration ~evaluation:None ~rejection:[] ~failure:(Some reason)
-      ~n_sims
-
-(* The task seed is drawn from the run's stream before the evaluation is
-   scheduled, so the stream advances identically whether the outcome is
-   computed here, on another domain, or replayed from the cache. *)
-let task_of st topo =
-  Hashtbl.replace st.visited (Topology.to_index topo) ();
-  Evaluator.task ~spec:st.spec ~sizing_config:st.cfg.sizing
-    ~seed:(Evaluator.fresh_seed st.rng) topo
-
-let evaluate_topology st ~iteration topo =
-  record_outcome st ~iteration (st.cfg.runner.Evaluator.run_one (task_of st topo))
-
 let fit_models st ~full_search =
-  let evals = List.filter (trainable ~spec:st.spec) st.evals in
+  let evals = List.filter (trainable ~spec:st.spec) (Search.evaluations st.search) in
   let graphs =
     Array.of_list
       (List.map (fun (e : Evaluator.evaluation) -> Into_graph.Circuit_graph.build e.topology) evals)
@@ -181,7 +115,7 @@ let fit_models st ~full_search =
    by FoM, padded with low-violation infeasible ones. *)
 let best_seeds st =
   let feasible, infeasible =
-    List.partition (fun (e : Evaluator.evaluation) -> e.feasible) st.evals
+    List.partition (fun (e : Evaluator.evaluation) -> e.feasible) (Search.evaluations st.search)
   in
   let by_fom =
     List.sort
@@ -211,7 +145,7 @@ let acquisition st models best_tfom topo =
   let g = Into_graph.Circuit_graph.build topo in
   let n_metrics = List.length Objective.metrics in
   let read =
-    List.filteri (fun i _ -> i < n_metrics || Option.is_some best_tfom) model_names
+    List.filteri (fun i _ -> i < n_metrics || Option.is_some best_tfom) Objective.target_names
   in
   let preds = Array.of_list (Wl_gp.predict_many (List.map (fun n -> List.assoc n models) read) g) in
   Acquisition.constrained_wei ~w:st.cfg.wei_w ~bounds:(Objective.bounds st.spec) ~best:best_tfom
@@ -221,21 +155,21 @@ let bo_iteration st ~iteration =
   let candidates =
     Candidates.generate ~rng:st.rng ~strategy:st.cfg.strategy ~pool:st.cfg.pool
       ~best:(best_seeds st)
-      ~visited:(fun t -> Hashtbl.mem st.visited (Topology.to_index t))
+      ~visited:(Search.visited st.search)
   in
   match candidates with
   | [] -> ()
   | first :: _ ->
-    if List.length (List.filter (trainable ~spec:st.spec) st.evals) < 2 then
-      evaluate_topology st ~iteration first
+    let trainable_evals = List.filter (trainable ~spec:st.spec) (Search.evaluations st.search) in
+    if List.length trainable_evals < 2 then ignore (Search.evaluate st.search ~iteration first)
     else begin
       let full_search = iteration mod st.cfg.refit_every = 1 || st.hyper = [] in
       let models = fit_models st ~full_search in
       let best_tfom =
         Option.map
-          (fun ((e : Evaluator.evaluation), _) ->
+          (fun (e : Evaluator.evaluation) ->
             Objective.penalized_fom_value e.perf st.spec ~cl_f:st.spec.Spec.cl_f)
-          st.best
+          (Search.best st.search)
       in
       let scored =
         List.map (fun t -> (t, acquisition st models best_tfom t)) candidates
@@ -245,54 +179,24 @@ let bo_iteration st ~iteration =
           (fun (bt, ba) (t, a) -> if a > ba then (t, a) else (bt, ba))
           (first, Float.neg_infinity) scored
       in
-      evaluate_topology st ~iteration chosen
+      ignore (Search.evaluate st.search ~iteration chosen)
     end
 
 let run ?config ~rng ~spec () =
   let cfg = match config with Some c -> c | None -> default_config Candidates.Mixed in
-  let st =
-    {
-      cfg;
-      rng;
-      spec;
-      dict = Wl.create_dict ();
-      visited = Hashtbl.create 256;
-      evals = [];
-      steps = [];
-      total_sims = 0;
-      rejections = 0;
-      best = None;
-      hyper = [];
-    }
-  in
-  (* Line 1 of Algorithm 1: random initial dataset.  The initial topologies
-     are drawn (and their task seeds fixed) up front, so the independent
-     evaluations can run as one batch — in parallel under a pooled runner,
-     with results recorded in draw order either way. *)
-  let init_tasks = ref [] in
-  let init = ref 0 in
-  let guard = ref 0 in
-  while !init < cfg.n_init && !guard < 100 * cfg.n_init do
-    incr guard;
-    let t = Topology.random st.rng in
-    if not (Hashtbl.mem st.visited (Topology.to_index t)) then begin
-      incr init;
-      init_tasks := task_of st t :: !init_tasks
-    end
-  done;
-  let init_outcomes =
-    cfg.runner.Evaluator.run_batch (Array.of_list (List.rev !init_tasks))
-  in
-  Array.iter (record_outcome st ~iteration:0) init_outcomes;
+  let search = Search.create ~rng ~spec ~sizing:cfg.sizing ~runner:cfg.runner in
+  let st = { cfg; rng; spec; dict = Wl.create_dict (); search; hyper = [] } in
+  (* Line 1 of Algorithm 1: random initial dataset, evaluated as one batch. *)
+  ignore (Search.initial search cfg.n_init);
   for iteration = 1 to cfg.iterations do
     bo_iteration st ~iteration
   done;
-  let models = fit_metric_models ~dict:st.dict ~spec st.evals in
+  let trace = Search.trace search in
   {
-    steps = List.rev st.steps;
-    best = Option.map fst st.best;
-    models;
+    steps = trace.Search.steps;
+    best = trace.Search.best;
+    models = fit_metric_models ~dict:st.dict ~spec (Search.evaluations search);
     dict = st.dict;
-    total_sims = st.total_sims;
-    rejections = st.rejections;
+    total_sims = trace.Search.total_sims;
+    rejections = trace.Search.rejections;
   }

@@ -27,18 +27,15 @@ type config = {
 
 val default_config : Candidates.strategy -> config
 
-type step = {
-  iteration : int;  (** 0 during initialization, then 1..T *)
-  evaluation : Evaluator.evaluation option;  (** [None]: dead topology *)
+type step = Search.step = {
+  iteration : int;
+  evaluation : Evaluator.evaluation option;
   rejection : Into_analysis.Diagnostic.t list;
-      (** non-empty iff the static verification gate rejected the candidate
-          (then [evaluation = None] and the step cost no simulations) *)
   failure : Fail.t option;
-      (** why every sizing attempt failed, when the evaluator reported
-          [Failed] (then [evaluation = None] but the budget was spent) *)
   cumulative_sims : int;
-  best_fom_so_far : float option;  (** best feasible FoM after this step *)
+  best_fom_so_far : float option;
 }
+(** One evaluated task of the search (see {!Search.step}). *)
 
 type result = {
   steps : step list;  (** chronological *)

@@ -53,7 +53,7 @@ let scale_of_name = function
   | "env" | "default" -> scale_of_env ()
   | name -> Error (Printf.sprintf "unknown scale %S (expected smoke, paper or env)" name)
 
-type trace = {
+type trace = Into_core.Search.trace = {
   steps : Topo_bo.step list;
   best : Into_core.Evaluator.evaluation option;
   total_sims : int;
@@ -85,13 +85,7 @@ let run ?(runner = Into_core.Evaluator.serial_runner) id ~scale ~rng ~spec =
         runner;
       }
     in
-    let r = Into_baselines.Fe_ga.run ~config ~rng ~spec () in
-    {
-      steps = r.Into_baselines.Fe_ga.steps;
-      best = r.Into_baselines.Fe_ga.best;
-      total_sims = r.Into_baselines.Fe_ga.total_sims;
-      rejections = r.Into_baselines.Fe_ga.rejections;
-    }
+    Into_baselines.Fe_ga.run ~config ~rng ~spec ()
   | Vgae_bo ->
     let config =
       {
@@ -103,13 +97,7 @@ let run ?(runner = Into_core.Evaluator.serial_runner) id ~scale ~rng ~spec =
         runner;
       }
     in
-    let r = Into_baselines.Vgae_bo.run ~config ~rng ~spec () in
-    {
-      steps = r.Into_baselines.Vgae_bo.steps;
-      best = r.Into_baselines.Vgae_bo.best;
-      total_sims = r.Into_baselines.Vgae_bo.total_sims;
-      rejections = r.Into_baselines.Vgae_bo.rejections;
-    }
+    Into_baselines.Vgae_bo.run ~config ~rng ~spec ()
   | Into_oa_r | Into_oa_m | Into_oa ->
     let strategy =
       match id with

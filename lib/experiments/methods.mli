@@ -34,12 +34,13 @@ val scale_of_env : unit -> (scale, string) result
     An empty variable counts as unset; any other value that is not a
     positive integer is an [Error] naming the variable. *)
 
-type trace = {
+type trace = Into_core.Search.trace = {
   steps : Into_core.Topo_bo.step list;
   best : Into_core.Evaluator.evaluation option;
   total_sims : int;
   rejections : int;  (** candidates the static verification gate rejected *)
 }
+(** The one trace shape every method reports (see {!Into_core.Search}). *)
 
 val scale_of_name : string -> (scale, string) result
 (** ["smoke"], ["paper"]/["full"], or ["env"]/["default"] (the

@@ -58,9 +58,9 @@ let run ?models ~scale ~rng () =
   let one label topo =
     let sizing = seed_sizing ~rng topo in
     let before =
-      match Perf.evaluate topo ~sizing ~cl_f:Spec.s5.Spec.cl_f with
-      | Some p -> p
-      | None -> invalid_arg "Refine_exp: seed does not simulate under S-5"
+      match Perf.evaluate_checked topo ~sizing ~cl_f:Spec.s5.Spec.cl_f with
+      | Ok p -> p
+      | Error _ -> invalid_arg "Refine_exp: seed does not simulate under S-5"
     in
     let outcome = Refine.refine ~models ~rng ~spec:Spec.s5 ~sizing topo in
     { label; seed_topology = topo; seed_sizing = sizing; before; outcome }

@@ -19,12 +19,7 @@ type report = {
   sims_spent : int;
 }
 
-let metric_names = List.map (fun m -> m.Objective.name) Objective.metrics @ [ "fom" ]
-
-let target spec (e : Evaluator.evaluation) m =
-  let n_metrics = List.length Objective.metrics in
-  if m < n_metrics then (Objective.metric_values e.Evaluator.perf).(m)
-  else Objective.penalized_fom_value e.Evaluator.perf spec ~cl_f:spec.Spec.cl_f
+let target spec (e : Evaluator.evaluation) m = (Objective.targets e.Evaluator.perf spec).(m)
 
 (* Distinct random topologies, each sized with the standard inner BO. *)
 let sample ~progress ~rng ~spec ~sizing_config n sims =
@@ -37,13 +32,11 @@ let sample ~progress ~rng ~spec ~sizing_config n sims =
       else begin
         Hashtbl.replace seen (Topology.to_index t) ();
         progress (Printf.sprintf "sizing sample %d" (n - k + 1));
-        match Evaluator.evaluate ~sizing_config ~rng ~spec t with
-        | Some e ->
-          sims := !sims + e.Evaluator.n_sims;
-          draw (e :: acc) (k - 1)
-        | None ->
-          sims := !sims + Evaluator.sims_of_failed_evaluation ~sizing_config;
-          draw acc k
+        let outcome = Evaluator.evaluate_gated ~sizing_config ~rng ~spec t in
+        sims := !sims + Evaluator.sims_of_outcome ~sizing_config outcome;
+        match outcome with
+        | Evaluator.Evaluated e -> draw (e :: acc) (k - 1)
+        | Evaluator.Rejected _ | Evaluator.Failed _ -> draw acc k
       end
     end
   in
@@ -109,7 +102,7 @@ let run ?(n_train = 40) ?(n_test = 20) ?(progress = fun _ -> ()) ~spec ~sizing_c
           wl_spearman = Into_util.Stats.spearman wl truth;
           embedding_spearman = Into_util.Stats.spearman emb truth;
         })
-      metric_names
+      Objective.target_names
   in
   { n_train = List.length train; n_test = List.length test; scores; sims_spent = !sims }
 

@@ -1,7 +1,7 @@
 module Evaluator = Into_core.Evaluator
 module Topology = Into_circuit.Topology
 
-let version = 2
+let version = 3
 let magic = "INTO-OA-CACHE"
 
 type t = {

@@ -1,5 +1,5 @@
 let magic = "INTO-OA-CKPT"
-let version = 2
+let version = 3
 
 type frame = {
   frame_magic : string;

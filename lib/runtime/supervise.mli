@@ -8,7 +8,7 @@
       are presumed transient — the same task is re-run unchanged after an
       exponential backoff, so a successful retry recovers the {e exact}
       fault-free result (the task seed is untouched).
-    - {e Numerical} classes (singular, no-convergence, non-finite, other)
+    - {e Numerical} classes (singular, non-finite, other)
       are deterministic in the task seed — the retry derives a fresh seed
       with {!attempt_seed} and skips the backoff.
 

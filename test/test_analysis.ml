@@ -99,7 +99,6 @@ let pinned_line idx sizing =
     match Perf.evaluate_checked topo ~sizing ~cl_f:10e-12 with
     | Ok p -> String.concat "," (List.map h [ p.Perf.gain_db; p.gbw_hz; p.pm_deg; p.power_w ])
     | Error `Singular -> "singular"
-    | Error `No_convergence -> "no-convergence"
     | Error (`Non_finite field) -> "non-finite " ^ field
   in
   let nl = Netlist.build topo ~sizing ~cl_f:10e-12 in
@@ -182,8 +181,9 @@ let test_dominant_pole_ordering () =
   | _ -> Alcotest.fail "expected several poles"
 
 let test_feasible_design_truly_stable () =
-  (* The stability gate inside Perf.evaluate means every feasible design is
-     open- and closed-loop stable; cross-check on the reference design. *)
+  (* The stability gate inside Perf.evaluate_checked means every feasible
+     design is open- and closed-loop stable; cross-check on the reference
+     design. *)
   let topo, sizing = Lazy.force sized_feasible in
   let nl = Netlist.build topo ~sizing ~cl_f:10e-12 in
   Alcotest.(check bool) "open-loop stable" true

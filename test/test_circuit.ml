@@ -337,9 +337,9 @@ let prop_satisfies_iff_zero_violation =
 let test_evaluate_returns_power () =
   let t = Topology.nmc () in
   let sizing = nmc_sizing 1e-4 1e-4 1e-3 10.0 1e4 1e-12 in
-  match Perf.evaluate t ~sizing ~cl_f:10e-12 with
-  | None -> Alcotest.fail "should simulate"
-  | Some p ->
+  match Perf.evaluate_checked t ~sizing ~cl_f:10e-12 with
+  | Error _ -> Alcotest.fail "should simulate"
+  | Ok p ->
     check_close 1e-12 "power matches netlist"
       (Netlist.build t ~sizing ~cl_f:10e-12).Netlist.power_w p.Perf.power_w
 

@@ -216,9 +216,9 @@ let test_strategy_names () =
 
 let test_evaluator () =
   let rng = Rng.create ~seed:61 in
-  match Evaluator.evaluate ~sizing_config:small_sizing ~rng ~spec:Spec.s1 (Topology.nmc ()) with
-  | None -> Alcotest.fail "NMC should evaluate"
-  | Some e ->
+  match Evaluator.evaluate_gated ~sizing_config:small_sizing ~rng ~spec:Spec.s1 (Topology.nmc ()) with
+  | Evaluator.Rejected _ | Evaluator.Failed _ -> Alcotest.fail "NMC should evaluate"
+  | Evaluator.Evaluated e ->
     Alcotest.(check int) "sims counted" 13 e.Evaluator.n_sims;
     check_close 1e-9 "fom consistent"
       (Perf.fom e.Evaluator.perf ~cl_f:Spec.s1.Spec.cl_f)

@@ -77,6 +77,85 @@ let test_scale_of_env () =
   Unix.putenv "INTO_OA_FULL" "0";
   Unix.putenv "INTO_OA_RUNS" ""
 
+(* Every method charges the budget, counts rejections and tracks the best
+   design through the same bookkeeping.  A scripted runner returns a mix of
+   outcomes keyed on the topology index (the real design space has no
+   gate errors, so rejections only happen here). *)
+let scripted_runner ~spec seen =
+  let u idx k = float_of_int ((idx * k) mod 97) /. 97.0 in
+  let run_one (task : Evaluator.task) =
+    let idx = Topology.to_index task.Evaluator.task_topology in
+    seen := idx :: !seen;
+    match idx mod 4 with
+    | 0 ->
+      Evaluator.Rejected
+        [ Into_analysis.Diagnostic.make Into_analysis.Diagnostic.Build_failure "scripted" ]
+    | 1 -> Evaluator.Failed Into_core.Fail.Singular
+    | _ ->
+      let perf =
+        {
+          Perf.gain_db = 70.0 +. (30.0 *. u idx 13);
+          gbw_hz = 10.0 ** (5.5 +. (1.5 *. u idx 29));
+          pm_deg = 40.0 +. (40.0 *. u idx 41);
+          power_w = 10.0 ** (-4.5 +. (1.5 *. u idx 53));
+        }
+      in
+      Evaluator.Evaluated
+        {
+          Evaluator.topology = task.Evaluator.task_topology;
+          sizing = [||];
+          perf;
+          feasible = Perf.satisfies perf spec;
+          fom = Perf.fom perf ~cl_f:spec.Spec.cl_f;
+          n_sims = 1 + (idx mod 5);
+        }
+  in
+  { Evaluator.run_one; run_batch = Array.map run_one }
+
+let test_methods_share_bookkeeping () =
+  let scale = { tiny_scale with Methods.n_init = 4; iterations = 8; pool = 24 } in
+  let failed_charge = scale.Methods.sizing_init + scale.Methods.sizing_iters in
+  List.iter
+    (fun m ->
+      let name = Methods.name m in
+      let seen = ref [] in
+      let runner = scripted_runner ~spec:Spec.s1 seen in
+      let trace = Methods.run ~runner m ~scale ~rng:(Rng.create ~seed:5) ~spec:Spec.s1 in
+      let steps = trace.Methods.steps in
+      Alcotest.(check int) (name ^ ": one step per task") (List.length !seen) (List.length steps);
+      Alcotest.(check int) (name ^ ": no topology revisited") (List.length !seen)
+        (List.length (List.sort_uniq compare !seen));
+      let count p = List.length (List.filter p steps) in
+      let rejected (s : Topo_bo.step) = s.Topo_bo.rejection <> [] in
+      let failed (s : Topo_bo.step) = Option.is_some s.Topo_bo.failure in
+      Alcotest.(check bool) (name ^ ": scripted mix reached") true
+        (count rejected > 0 && count failed > 0
+        && count (fun s -> Option.is_some s.Topo_bo.evaluation) > 0);
+      Alcotest.(check int) (name ^ ": rejections counted") (count rejected)
+        trace.Methods.rejections;
+      let last_sims, last_best =
+        List.fold_left
+          (fun (sims, best) (s : Topo_bo.step) ->
+            let charge =
+              match (s.Topo_bo.evaluation, s.Topo_bo.failure) with
+              | Some e, _ -> e.Evaluator.n_sims
+              | None, Some _ -> failed_charge
+              | None, None -> 0
+            in
+            Alcotest.(check int) (name ^ ": step charge") charge (s.Topo_bo.cumulative_sims - sims);
+            (match (best, s.Topo_bo.best_fom_so_far) with
+            | Some b, Some b' ->
+              Alcotest.(check bool) (name ^ ": best never decreases") true (b' >= b)
+            | Some _, None -> Alcotest.fail (name ^ ": best forgotten")
+            | None, _ -> ());
+            (s.Topo_bo.cumulative_sims, s.Topo_bo.best_fom_so_far))
+          (0, None) steps
+      in
+      Alcotest.(check int) (name ^ ": total sims") last_sims trace.Methods.total_sims;
+      Alcotest.(check (option (float 0.0))) (name ^ ": best matches trace") last_best
+        (Option.map (fun (e : Evaluator.evaluation) -> e.Evaluator.fom) trace.Methods.best))
+    Methods.all
+
 (* --- Curves --- *)
 
 let synthetic_steps =
@@ -242,9 +321,9 @@ let test_tlevel_evaluate_design () =
   let t = Topology.nmc () in
   let schema = Into_circuit.Params.schema t in
   let sizing = Into_circuit.Params.denormalize schema (Into_circuit.Params.default_point schema) in
-  match Perf.evaluate t ~sizing ~cl_f:Spec.s1.Spec.cl_f with
-  | None -> Alcotest.fail "behavioral evaluation failed"
-  | Some behavioral ->
+  match Perf.evaluate_checked t ~sizing ~cl_f:Spec.s1.Spec.cl_f with
+  | Error _ -> Alcotest.fail "behavioral evaluation failed"
+  | Ok behavioral ->
     let row =
       Tlevel_exp.evaluate_design ~spec:Spec.s1 ~label:"test" ~topology:t ~sizing ~behavioral
     in
@@ -334,6 +413,7 @@ let () =
         [
           Alcotest.test_case "names" `Quick test_method_names;
           Alcotest.test_case "every method runs" `Slow test_each_method_runs;
+          Alcotest.test_case "shared search bookkeeping" `Quick test_methods_share_bookkeeping;
           Alcotest.test_case "scale from environment" `Quick test_scale_of_env;
         ] );
       ( "curves",

@@ -58,7 +58,6 @@ let contains hay needle =
 let all_fails =
   [
     Fail.Singular;
-    Fail.No_convergence;
     Fail.Non_finite "gbw_hz";
     Fail.Timeout;
     Fail.Worker_crash;
@@ -67,7 +66,7 @@ let all_fails =
   ]
 
 let test_fail_classes () =
-  Alcotest.(check int) "seven classes" 7 (List.length Fail.all_class_names);
+  Alcotest.(check int) "six classes" 6 (List.length Fail.all_class_names);
   List.iteri
     (fun i f ->
       Alcotest.(check int) (Fail.class_name f ^ " index") i (Fail.class_index f);

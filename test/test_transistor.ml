@@ -156,15 +156,15 @@ let test_tlevel_evaluate () =
   let t = Topology.nmc () in
   let schema = Params.schema t in
   let sizing = Params.denormalize schema (Params.default_point schema) in
-  match (Tlevel.evaluate t ~sizing ~cl_f:10e-12, Perf.evaluate t ~sizing ~cl_f:10e-12) with
-  | Some tl, Some behavioral ->
+  match (Tlevel.evaluate t ~sizing ~cl_f:10e-12, Perf.evaluate_checked t ~sizing ~cl_f:10e-12) with
+  | Some tl, Ok behavioral ->
     Alcotest.(check int) "implementations reported" 3 (List.length tl.Tlevel.impls);
     Alcotest.(check bool) "power increases" true
       (tl.Tlevel.perf.Perf.power_w > behavioral.Perf.power_w);
     Alcotest.(check bool) "fom drops at the transistor level" true
       (Perf.fom tl.Tlevel.perf ~cl_f:10e-12 < Perf.fom behavioral ~cl_f:10e-12)
   | None, _ -> Alcotest.fail "transistor-level simulation failed"
-  | _, None -> Alcotest.fail "behavioral simulation failed"
+  | _, Error _ -> Alcotest.fail "behavioral simulation failed"
 
 let () =
   Alcotest.run "into_transistor"
